@@ -20,7 +20,7 @@ from . import text
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigValidationError, RunConfig, load_config, require_paths
 from .fileio import atomic_write_text
-from .generate import GenerationError, SamplingPolicy, generate
+from .generate import GenerationError, generate
 from .model import ConfigError, clf_forward, convert_to_classifier, extract_latent, init_params
 from .projection import (
     ProjectionError, cast_overlay, emit_scatter_svg, project_latents, write_latents,
@@ -43,12 +43,6 @@ class UsageError(Exception):
 
 def _verbose() -> bool:
     return os.environ.get("STYLECAST_LOG", "").lower() in ("1", "debug", "info", "verbose")
-
-
-def _log_metrics(log) -> None:
-    if _verbose():
-        for epoch, split, metric, value in log.rows:
-            print(f"epoch {epoch} {split} {metric}={value:.6g}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,6 +169,22 @@ def _check_vocab(ckpt, vocab: Vocab) -> None:
             f"checkpoint vocab size {ckpt.config.vocab_size} != vocab file {vocab.size}")
 
 
+def _save_run(cfg: RunConfig, command: str, default_ckpt: str, params, model_cfg,
+              log, meta: dict) -> None:
+    """Checkpoint and metrics CSV of a training subcommand, with their paths printed."""
+    if _verbose():
+        for epoch, split, metric, value in log.rows:
+            print(f"epoch {epoch} {split} {metric}={value:.6g}", file=sys.stderr)
+    out = _out_dir(cfg)
+    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / default_ckpt
+    save_checkpoint(params, model_cfg, ckpt, {"config_hash": cfg.hash(), **meta,
+                                              "section_names": cfg.section_names})
+    metrics = out / f"{command}-metrics.csv"
+    atomic_write_text(metrics, log.to_csv(cfg.hash()))
+    print(f"checkpoint: {ckpt}")
+    print(f"metrics: {metrics}")
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -201,18 +211,10 @@ def _cmd_train_gen(args) -> int:
     samples = lm_samples_from_articles(articles, vocab, model_cfg.max_seq, styled=styled)
     params = init_params(model_cfg, seed=cfg.seed)
     best, log = train_lm(samples, params, model_cfg, cfg.train_config(), stats)
-    _log_metrics(log)
-    out = _out_dir(cfg)
-    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "lm.ckpt"
-    meta = {"config_hash": cfg.hash(), "t_min": stats.t_min, "t_max": stats.t_max,
-            "section_names": cfg.section_names}
-    save_checkpoint(best, model_cfg, ckpt, meta)
-    metrics = out / "train-gen-metrics.csv"
-    atomic_write_text(metrics, log.to_csv(cfg.hash()))
+    _save_run(cfg, "train-gen", "lm.ckpt", best, model_cfg, log,
+              {"t_min": stats.t_min, "t_max": stats.t_max})
     val_loss = log.series("val", "loss")[-1]
     val_ppl = log.series("val", "perplexity")[-1]
-    print(f"checkpoint: {ckpt}")
-    print(f"metrics: {metrics}")
     print(f"val_loss={val_loss:.4f} val_perplexity={val_ppl:.2f}")
     return 0
 
@@ -233,21 +235,16 @@ def _cmd_train_clf(args) -> int:
     samples = clf_samples_from_articles(articles, vocab, model_cfg.max_seq)
     best, log = fine_tune_classifier(samples, params, model_cfg, cfg.train_config(),
                                      freeze_backbone=cfg.freeze_backbone)
-    _log_metrics(log)
-    out = _out_dir(cfg)
-    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "clf.ckpt"
-    meta = {"config_hash": cfg.hash(), "section_names": cfg.section_names}
-    save_checkpoint(best, model_cfg, ckpt, meta)
-    metrics = out / "train-clf-metrics.csv"
-    atomic_write_text(metrics, log.to_csv(cfg.hash()))
-    print(f"checkpoint: {ckpt}")
-    print(f"metrics: {metrics}")
+    _save_run(cfg, "train-clf", "clf.ckpt", best, model_cfg, log, {})
     print(f"val_accuracy={log.series('val', 'accuracy')[-1]:.4f}")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    cfg = _load(args)
+    flags = {"sample_mode": args.mode, "temperature": args.temperature,
+             "top_k": args.top_k, "sample_seed": args.seed}
+    cfg = load_config(args.config, {**_parse_overrides(args.set),
+                                    **{k: v for k, v in flags.items() if v is not None}})
     require_paths(cfg, "checkpoint", "vocab")
     ckpt = load_checkpoint(cfg.checkpoint, expect_head="lm")
     vocab = Vocab.load(cfg.vocab)
@@ -261,13 +258,8 @@ def _cmd_generate(args) -> int:
         section = _section_id(args.section, names) if args.section is not None else 0
         ts = _parse_time(args.time) if args.time else stats.t_max
         spec = StyleSpec(section_id=section, timestamp=ts)
-    v = cfg.values
-    policy = SamplingPolicy(
-        mode=args.mode if args.mode is not None else v["sample_mode"],
-        temperature=args.temperature if args.temperature is not None else v["temperature"],
-        k=args.top_k if args.top_k is not None else v["top_k"],
-        seed=args.seed if args.seed is not None else v["sample_seed"])
-    print(generate(args.prompt, spec, policy, ckpt.params, ckpt.config, vocab, stats))
+    print(generate(args.prompt, spec, cfg.sampling_policy(), ckpt.params, ckpt.config,
+                   vocab, stats))
     return 0
 
 

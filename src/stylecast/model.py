@@ -1,8 +1,9 @@
-"""Encoder-block transformer shared by the generator and the classifier.
+"""One encoder-block transformer backbone under two heads.
 
-The generator runs causal-masked with a vocab-sized head; the classifier
-runs unmasked (pads attention-masked out) with a section head read at
-the last non-pad position. Pre-norm residual ordering throughout.
+`backbone` computes the hidden state. The generator runs it causal-masked
+under a vocab-sized head; the classifier runs it unmasked (pads
+attention-masked out) under a section head read at the last non-pad
+position. Pre-norm residual ordering throughout.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from . import text
-from .style import CorpusStats, StyleSpec, fuse_embedding, learned_style, minmax_style, style_dim
+from .style import (
+    LEARNED_HIDDEN, CorpusStats, StyleSpec, fuse_embedding, learned_style, minmax_style,
+    style_dim,
+)
 from .tensor import (
     Tensor, add, concat_cols, dropout, embedding, gelu, layer_norm, matmul,
     reshape, scale, slice_cols, slice_rows, softmax, transpose,
@@ -100,11 +104,11 @@ def init_params(config: ModelConfig, seed: int = 0,
     param("tok_emb", _trunc_normal(rng, (config.vocab_size, config.token_dim), std, dtype))
     param("pos_emb", _trunc_normal(rng, (config.max_seq, config.token_dim), std, dtype))
     if config.style_mode == "learned10":
-        s_in = config.n_sections + 1
-        param("style.w1", _trunc_normal(rng, (s_in, 32), std, dtype))
-        param("style.b1", np.zeros(32, dtype=dtype))
-        param("style.w2", _trunc_normal(rng, (32, 10), std, dtype))
-        param("style.b2", np.zeros(10, dtype=dtype))
+        s_in, s_out = config.n_sections + 1, style_dim("learned10")
+        param("style.w1", _trunc_normal(rng, (s_in, LEARNED_HIDDEN), std, dtype))
+        param("style.b1", np.zeros(LEARNED_HIDDEN, dtype=dtype))
+        param("style.w2", _trunc_normal(rng, (LEARNED_HIDDEN, s_out), std, dtype))
+        param("style.b2", np.zeros(s_out, dtype=dtype))
     d, f = config.d_model, config.d_ff
     for i in range(config.n_layers):
         pre = f"layer{i}."
@@ -183,17 +187,12 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str,
             mask,
         ))
     attn_out = matmul(concat_cols(heads), params[prefix + "attn.wo"])
-    if drop_rate > 0.0:
-        attn_out = dropout(attn_out, drop_rate, rng)
-    x = add(x, attn_out)
+    x = add(x, dropout(attn_out, drop_rate, rng))
 
     normed = layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
     ff = matmul(gelu(add(matmul(normed, params[prefix + "ffn.w1"]), params[prefix + "ffn.b1"])),
                 params[prefix + "ffn.w2"])
-    ff = add(ff, params[prefix + "ffn.b2"])
-    if drop_rate > 0.0:
-        ff = dropout(ff, drop_rate, rng)
-    return add(x, ff)
+    return add(x, dropout(add(ff, params[prefix + "ffn.b2"]), drop_rate, rng))
 
 
 def _style_vector(params: dict[str, Tensor], config: ModelConfig,
@@ -208,13 +207,26 @@ def _style_vector(params: dict[str, Tensor], config: ModelConfig,
                          params["style.w2"], params["style.b2"])
 
 
-def _embed(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int],
-           spec: StyleSpec | None, stats: CorpusStats | None) -> Tensor:
-    t = len(ids)
+def backbone(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int],
+             mask: np.ndarray | None, style: Tensor | np.ndarray | None,
+             train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    """Hidden state [T, d_model] shared by both heads.
+
+    Token plus position embeddings, fused with the style vector, input
+    dropout, the encoder blocks under `mask`, then the final layer norm.
+    """
+    drop = config.dropout_rate if train else 0.0
     tok = embedding(params["tok_emb"], ids)
-    pos = slice_rows(params["pos_emb"], 0, t)
-    return fuse_embedding(add(tok, pos), _style_vector(params, config, spec, stats),
-                          config.d_model)
+    pos = slice_rows(params["pos_emb"], 0, len(ids))
+    h = dropout(fuse_embedding(add(tok, pos), style, config.d_model), drop, rng)
+    for i in range(config.n_layers):
+        h = encoder_block(h, params, f"layer{i}.", config.n_heads, mask, drop, rng)
+    return layer_norm(h, params["ln_f.g"], params["ln_f.b"])
+
+
+def _check_length(config: ModelConfig, ids: Sequence[int]) -> None:
+    if not 1 <= len(ids) <= config.max_seq:
+        raise ValueError(f"sequence length {len(ids)} outside [1, {config.max_seq}]")
 
 
 def lm_forward(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int],
@@ -223,17 +235,9 @@ def lm_forward(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int
     """Causal logits [T, vocab_size]; logits[i] depends only on ids[..i] and style."""
     if config.head_type != "lm":
         raise ConfigError("lm_forward on a classifier-headed model")
-    t = len(ids)
-    if t < 1 or t > config.max_seq:
-        raise ValueError(f"sequence length {t} outside [1, {config.max_seq}]")
-    drop = config.dropout_rate if train else 0.0
-    h = _embed(params, config, ids, spec, stats)
-    if drop > 0.0:
-        h = dropout(h, drop, rng)
-    mask = causal_mask(t)
-    for i in range(config.n_layers):
-        h = encoder_block(h, params, f"layer{i}.", config.n_heads, mask, drop, rng)
-    h = layer_norm(h, params["ln_f.g"], params["ln_f.b"])
+    _check_length(config, ids)
+    style = _style_vector(params, config, spec, stats)
+    h = backbone(params, config, ids, causal_mask(len(ids)), style, train, rng)
     return add(matmul(h, params["head.w"]), params["head.b"])
 
 
@@ -248,18 +252,9 @@ def _clf_hidden(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[in
                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     if config.head_type != "classifier":
         raise ConfigError("classifier forward on an lm-headed model")
-    t = len(ids)
-    if t < 1 or t > config.max_seq:
-        raise ValueError(f"sequence length {t} outside [1, {config.max_seq}]")
+    _check_length(config, ids)
     loaded = _loaded_position(ids)
-    drop = config.dropout_rate if train else 0.0
-    h = _embed(params, config, ids, None, None)
-    if drop > 0.0:
-        h = dropout(h, drop, rng)
-    mask = pad_mask(ids)
-    for i in range(config.n_layers):
-        h = encoder_block(h, params, f"layer{i}.", config.n_heads, mask, drop, rng)
-    h = layer_norm(h, params["ln_f.g"], params["ln_f.b"])
+    h = backbone(params, config, ids, pad_mask(ids), None, train, rng)
     return slice_rows(h, loaded, loaded + 1)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, concat_cols, gelu, matmul, tile_rows
+from .tensor import Tensor, add, concat_cols, gelu, matmul, tile_rows
 
 STYLE_DIMS = {"learned10": 10, "minmax2": 2, "none": 0}
 LEARNED_HIDDEN = 32
@@ -74,8 +74,8 @@ def learned_style(spec: StyleSpec, stats: CorpusStats,
     x = np.zeros((1, stats.n_sections + 1), dtype=w1.data.dtype)
     x[0, spec.section_id] = 1.0
     x[0, stats.n_sections] = _norm_time(spec.timestamp, stats)
-    h = gelu(matmul(Tensor(x), w1) + b1)
-    return matmul(h, w2) + b2
+    h = gelu(add(matmul(Tensor(x), w1), b1))
+    return add(matmul(h, w2), b2)
 
 
 def fuse_embedding(token_embeds: Tensor, style_vec: Tensor | np.ndarray | None,

@@ -65,9 +65,6 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph construction helper -------------------------------------------
 
     @staticmethod
@@ -82,27 +79,6 @@ class Tensor:
         out._backward = backward if live else None
         out._op = op
         return out
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
     # -- backward -------------------------------------------------------------
 
@@ -228,16 +204,6 @@ def tsum(a: Tensor) -> Tensor:
     return out
 
 
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward() -> None:
-        _accumulate(a, np.full_like(a.data, out.grad / n))
-
-    out = Tensor._node(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), "mean", backward)
-    return out
-
-
 # -- slicing / stitching -------------------------------------------------------
 
 
@@ -258,18 +224,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         _accumulate(a, full)
 
     out = Tensor._node(a.data[:, start:stop].copy(), (a,), "slice_cols", backward)
-    return out
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Single row of a 2-D tensor as a 1-D vector."""
-
-    def backward() -> None:
-        full = np.zeros_like(a.data)
-        full[i] = out.grad
-        _accumulate(a, full)
-
-    out = Tensor._node(a.data[i].copy(), (a,), "row", backward)
     return out
 
 
@@ -390,6 +344,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
+def token_nll(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row -log softmax(z)[target] of a [N, C] logit array, by log-sum-exp."""
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    return lse - z[np.arange(len(z)), targets]
+
+
 def cross_entropy_mean(logits: Tensor, targets: Sequence[int],
                        ignore_id: int | None = None) -> Tensor:
     """Mean of -log softmax(logits)[target] over positions not equal to ignore_id."""
@@ -405,15 +366,12 @@ def cross_entropy_mean(logits: Tensor, targets: Sequence[int],
         raise IndexError(f"cross_entropy: target id out of range [0, {c})")
 
     z = logits.data
-    zmax = z.max(axis=-1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
-    per_pos = lse - z[np.arange(n), np.clip(tgt, 0, c - 1)]
     n_kept = int(keep.sum())
-    loss = per_pos[keep].mean()
+    loss = token_nll(z, np.clip(tgt, 0, c - 1))[keep].mean()
 
     def backward() -> None:
         g = float(out.grad)
-        soft = np.exp(z - zmax)
+        soft = np.exp(z - z.max(axis=-1, keepdims=True))
         soft /= soft.sum(axis=-1, keepdims=True)
         soft[np.arange(n)[keep], kept] -= 1.0
         soft[~keep] = 0.0

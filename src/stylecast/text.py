@@ -65,11 +65,16 @@ class Vocab:
         for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not raw.strip():
                 continue
-            ident, hexcp = raw.split("\t")
-            i = int(ident)
+            ident, _, hexcp = raw.partition("\t")
+            try:
+                i, ch = int(ident), chr(int(hexcp, 16))
+            except (ValueError, OverflowError):
+                raise CorpusError(
+                    f"vocab file line {ln}: expected id<TAB>codepoint-hex, got {raw!r}") from None
             if i < N_SPECIALS:
                 raise CorpusError(f"vocab file line {ln}: id {i} is reserved")
-            ch = chr(int(hexcp, 16))
+            if i in id_to_char or ch in char_to_id:
+                raise CorpusError(f"vocab file line {ln}: id {i} or character {ch!r} repeats")
             char_to_id[ch] = i
             id_to_char[i] = ch
         return cls(char_to_id, id_to_char)
@@ -96,6 +101,9 @@ def load_jsonl(path: str | Path, n_sections: int | None = None) -> tuple[list[Ar
         except json.JSONDecodeError as exc:
             report.append(f"line {ln}: invalid JSON ({exc.msg})")
             continue
+        if not isinstance(obj, dict):
+            report.append(f"line {ln}: not a JSON object")
+            continue
         missing = [k for k in _REQUIRED_FIELDS if k not in obj]
         if missing:
             report.append(f"line {ln}: missing field(s) {', '.join(missing)}")
@@ -110,14 +118,23 @@ def load_jsonl(path: str | Path, n_sections: int | None = None) -> tuple[list[Ar
         if not str(obj["main_title"]):
             report.append(f"line {ln}: empty main_title")
             continue
+        try:
+            release_time = int(obj["release_time"])
+        except (TypeError, ValueError, OverflowError):
+            report.append(f"line {ln}: release_time must be an integer timestamp")
+            continue
+        tags = obj.get("tags", [])
+        if not isinstance(tags, list):
+            report.append(f"line {ln}: tags must be a list")
+            continue
         articles.append(Article(
             main_title=str(obj["main_title"]),
             sub_title=str(obj["sub_title"]),
             body=str(obj["body"]),
             label=label,
             author=str(obj["author"]),
-            release_time=int(obj["release_time"]),
-            tags=[str(t) for t in obj.get("tags", [])],
+            release_time=release_time,
+            tags=[str(t) for t in tags],
         ))
     return articles, report
 

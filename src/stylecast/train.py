@@ -1,6 +1,6 @@
-"""Optimizers, epoch loops, and metrics for the generator and classifier.
+"""Optimizers, the epoch loop, and metrics for the generator and classifier.
 
-Both paths share the same machinery: deterministic shuffle/split, batch
+Both trainers run one loop, `_fit`: deterministic shuffle/split, batch
 loss graph, backward, global-norm clip, SGD or AdamW step, per-epoch
 validation metrics, best-checkpoint retention, optional early stop.
 """
@@ -16,7 +16,9 @@ import numpy as np
 from . import text
 from .model import ModelConfig, clf_forward, lm_forward
 from .style import CorpusStats, StyleSpec
-from .tensor import Tensor, add, concat_rows, cross_entropy_mean, reshape, scale, slice_rows
+from .tensor import (
+    Tensor, add, concat_rows, cross_entropy_mean, reshape, scale, slice_rows, token_nll,
+)
 from .text import split_shuffled
 
 
@@ -199,14 +201,11 @@ def evaluate_lm(params: dict[str, Tensor], config: ModelConfig,
     count = 0
     for sample in samples:
         logits = lm_forward(params, config, sample.ids, sample.spec, stats).data
-        z = logits[:-1].astype(np.float64)
         tgt = np.asarray(sample.ids[1:], dtype=np.int64)
         keep = tgt != text.PAD
         if not keep.any():
             continue
-        zmax = z.max(axis=-1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
-        per = lse - z[np.arange(len(tgt)), tgt]
+        per = token_nll(logits[:-1].astype(np.float64), tgt)
         total += float(per[keep].sum())
         count += int(keep.sum())
     if count == 0:
@@ -232,6 +231,59 @@ def _check_finite(params: dict[str, Tensor]) -> None:
             raise TrainError(f"parameter {name!r} became non-finite during training")
 
 
+def _fit(train_set: list, val_set: list, params: dict[str, Tensor], cfg: TrainConfig,
+         batch_loss, validate, trainable: dict[str, Tensor], rng: np.random.Generator,
+         max_steps: int | None = None) -> tuple[dict[str, Tensor], MetricsLog]:
+    """The epoch loop both trainers share.
+
+    Each step backpropagates batch_loss(batch) over a per-epoch shuffle of
+    train_set, then clips and steps only the `trainable` parameters.
+    After each epoch validate(val_set) returns (score, [(metric, value)]);
+    the metrics are logged under "val", the highest score keeps a
+    snapshot of all params, and training stops once the score has not
+    improved for early_stop_patience consecutive epochs (None disables)
+    or after max_steps steps, which still validates the partial epoch.
+    """
+    state = AdamWState()
+    log = MetricsLog()
+    best = _snapshot(params)
+    best_score = -math.inf
+    since_best = 0
+    steps = 0
+    for epoch in range(1, cfg.epochs + 1):
+        t0 = time.monotonic()
+        order = rng.permutation(len(train_set))
+        epoch_losses = []
+        for lo in range(0, len(train_set), cfg.batch_size):
+            batch = [train_set[i] for i in order[lo:lo + cfg.batch_size]]
+            zero_gradients(params)
+            loss = batch_loss(batch)
+            loss.backward()
+            clip_gradients(trainable, cfg.grad_clip_norm)
+            _optimizer_step(trainable, cfg, state)
+            _check_finite(params)
+            epoch_losses.append(loss.item())
+            steps += 1
+            if max_steps is not None and steps >= max_steps:
+                break
+        score, metrics = validate(val_set)
+        log.add(epoch, "train", "loss", float(np.mean(epoch_losses)))
+        for metric, value in metrics:
+            log.add(epoch, "val", metric, value)
+        log.add(epoch, "train", "wall_time", time.monotonic() - t0)
+        if score > best_score:
+            best_score = score
+            best = _snapshot(params)
+            since_best = 0
+        else:
+            since_best += 1
+            if cfg.early_stop_patience is not None and since_best >= cfg.early_stop_patience:
+                break
+        if max_steps is not None and steps >= max_steps:
+            break
+    return best, log
+
+
 def train_lm(samples: list[LmSample], params: dict[str, Tensor], config: ModelConfig,
              cfg: TrainConfig, stats: CorpusStats | None = None,
              max_steps: int | None = None) -> tuple[dict[str, Tensor], MetricsLog]:
@@ -245,44 +297,14 @@ def train_lm(samples: list[LmSample], params: dict[str, Tensor], config: ModelCo
         raise TrainError("train_lm: empty corpus")
     train_set, val_set = split_shuffled(samples, cfg.split_ratio, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    state = AdamWState()
-    log = MetricsLog()
-    best = _snapshot(params)
-    best_val = math.inf
-    since_best = 0
-    steps = 0
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.monotonic()
-        order = rng.permutation(len(train_set))
-        epoch_losses = []
-        for lo in range(0, len(train_set), cfg.batch_size):
-            batch = [train_set[i] for i in order[lo:lo + cfg.batch_size]]
-            zero_gradients(params)
-            loss = lm_batch_loss(params, config, batch, stats, train=True, rng=rng)
-            loss.backward()
-            clip_gradients(params, cfg.grad_clip_norm)
-            _optimizer_step(params, cfg, state)
-            _check_finite(params)
-            epoch_losses.append(loss.item())
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                break
-        val_loss, val_ppl = evaluate_lm(params, config, val_set, stats)
-        log.add(epoch, "train", "loss", float(np.mean(epoch_losses)))
-        log.add(epoch, "val", "loss", val_loss)
-        log.add(epoch, "val", "perplexity", val_ppl)
-        log.add(epoch, "train", "wall_time", time.monotonic() - t0)
-        if val_loss < best_val:
-            best_val = val_loss
-            best = _snapshot(params)
-            since_best = 0
-        else:
-            since_best += 1
-            if cfg.early_stop_patience is not None and since_best >= cfg.early_stop_patience:
-                break
-        if max_steps is not None and steps >= max_steps:
-            break
-    return best, log
+
+    def validate(val: list[LmSample]):
+        loss, ppl = evaluate_lm(params, config, val, stats)
+        return -loss, [("loss", loss), ("perplexity", ppl)]
+
+    return _fit(train_set, val_set, params, cfg,
+                lambda batch: lm_batch_loss(params, config, batch, stats, train=True, rng=rng),
+                validate, params, rng, max_steps)
 
 
 # -- classifier -------------------------------------------------------------------
@@ -319,36 +341,13 @@ def fine_tune_classifier(samples: list[ClfSample], params: dict[str, Tensor],
         raise TrainError("classifier training needs at least 2 distinct labels")
     train_set, val_set = split_shuffled(samples, cfg.split_ratio, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    state = AdamWState()
-    log = MetricsLog()
     trainable = ({k: v for k, v in params.items() if k.startswith("head.")}
                  if freeze_backbone else params)
-    best = _snapshot(params)
-    best_acc = -1.0
-    since_best = 0
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.monotonic()
-        order = rng.permutation(len(train_set))
-        epoch_losses = []
-        for lo in range(0, len(train_set), cfg.batch_size):
-            batch = [train_set[i] for i in order[lo:lo + cfg.batch_size]]
-            zero_gradients(params)
-            loss = clf_batch_loss(params, config, batch, train=True, rng=rng)
-            loss.backward()
-            clip_gradients(trainable, cfg.grad_clip_norm)
-            _optimizer_step(trainable, cfg, state)
-            _check_finite(params)
-            epoch_losses.append(loss.item())
-        acc, _ = evaluate_accuracy(params, config, val_set)
-        log.add(epoch, "train", "loss", float(np.mean(epoch_losses)))
-        log.add(epoch, "val", "accuracy", acc)
-        log.add(epoch, "train", "wall_time", time.monotonic() - t0)
-        if acc > best_acc:
-            best_acc = acc
-            best = _snapshot(params)
-            since_best = 0
-        else:
-            since_best += 1
-            if cfg.early_stop_patience is not None and since_best >= cfg.early_stop_patience:
-                break
-    return best, log
+
+    def validate(val: list[ClfSample]):
+        acc, _ = evaluate_accuracy(params, config, val)
+        return acc, [("accuracy", acc)]
+
+    return _fit(train_set, val_set, params, cfg,
+                lambda batch: clf_batch_loss(params, config, batch, train=True, rng=rng),
+                validate, trainable, rng)

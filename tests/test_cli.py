@@ -75,6 +75,41 @@ class TestDataErrors:
         assert "synthetic crash" in capsys.readouterr().err
 
 
+    def test_malformed_vocab_exit_2(self, workdir, tmp_path, capsys):
+        _, cfg = workdir
+        bad = tmp_path / "bad-vocab.tsv"
+        bad.write_text("6\t61\n6\t62\n", encoding="utf-8")
+        # eval reads the vocab before the checkpoint
+        code = dispatch(["eval", "--config", str(cfg),
+                         "--set", f"checkpoint={bad}", "--set", f"vocab={bad}"])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_bad_sampling_flag_exit_2(self, workdir, capsys):
+        _, cfg = workdir
+        assert dispatch(["generate", "--config", str(cfg), "--prompt", "ab",
+                         "--temperature", "0"]) == 2
+        assert "temperature" in capsys.readouterr().err
+
+    def test_ingest_skips_malformed_lines(self, workdir, tmp_path, capsys):
+        root, cfg = workdir
+        good = (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(good[0])
+        bad = [json.dumps({**row, "release_time": "soon"}),
+               json.dumps({**row, "release_time": None}),
+               "5",
+               json.dumps({**row, "tags": 5})]
+        corpus = tmp_path / "mixed.jsonl"
+        corpus.write_text("\n".join(good[:4] + bad), encoding="utf-8")
+        code = dispatch(["ingest", "--config", str(cfg), "--set", f"corpus={corpus}",
+                         "--set", f"vocab={tmp_path / 'vocab.tsv'}"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "articles: 4" in captured.out
+        for n in (5, 6, 7, 8):
+            assert f"skipped: line {n}:" in captured.err
+
+
 class TestPipeline:
     def test_01_ingest(self, workdir, capsys):
         root, cfg = workdir

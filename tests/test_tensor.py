@@ -6,7 +6,7 @@ import pytest
 from stylecast import tensor as T
 from stylecast.tensor import (
     Tensor, add, cross_entropy_mean, gelu, grad_check, layer_norm, matmul,
-    mul, softmax, tmean, tsum,
+    mul, softmax, token_nll, tsum,
 )
 
 
@@ -120,6 +120,15 @@ class TestCrossEntropy:
             cross_entropy_mean(t(np.zeros((2, 3))), [0, 0], ignore_id=0)
 
 
+    def test_token_nll_is_negative_log_softmax(self):
+        z = np.random.default_rng(4).standard_normal((5, 7)) * 30.0
+        tgt = np.array([0, 6, 3, 3, 1])
+        naive = -np.log(np.exp(z - z.max(axis=1, keepdims=True))
+                        / np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True))
+        assert np.allclose(token_nll(z, tgt), naive[np.arange(5), tgt], rtol=1e-12)
+        assert cross_entropy_mean(Tensor(z), tgt).item() == token_nll(z, tgt).mean()
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = t([1.0, 2.0, 3.0], grad=True)
@@ -183,8 +192,8 @@ class TestGradCheck:
         b = rng.standard_normal(5).astype(np.float64)
 
         def f(leaves):
-            return tmean(mul(layer_norm(leaves[0], leaves[1], leaves[2]),
-                             layer_norm(leaves[0], leaves[1], leaves[2])))
+            return tsum(mul(layer_norm(leaves[0], leaves[1], leaves[2]),
+                            layer_norm(leaves[0], leaves[1], leaves[2])))
 
         coords = [(0, i) for i in range(x.size)] + [(1, i) for i in range(5)]
         report = grad_check(f, [x, g, b], coords, h=1e-5, tol=1e-5)

@@ -63,6 +63,22 @@ class TestLoadJsonl:
         articles, report = load_jsonl(p)
         assert articles[0].tags == [] and report == []
 
+    def test_malformed_values_skipped_with_line_numbers(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        lines = [json.dumps(valid_row(release_time="soon")),
+                 json.dumps(valid_row(release_time=None)),
+                 "5",
+                 json.dumps(valid_row(tags=5)),
+                 json.dumps(valid_row(main_title="kept")),
+                 "[1, 2]"]
+        p.write_text("\n".join(lines), encoding="utf-8")
+        articles, report = load_jsonl(p)
+        assert [a.main_title for a in articles] == ["kept"]
+        assert [r.split(":")[0] for r in report] == [
+            "line 1", "line 2", "line 3", "line 4", "line 6"]
+        assert "release_time" in report[0] and "release_time" in report[1]
+        assert "object" in report[2] and "tags" in report[3]
+
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
             load_jsonl(tmp_path / "missing.jsonl")
@@ -147,6 +163,29 @@ class TestFormat:
             ids = format_article(a, v, max_len=64)
             assert len(ids) == 64
             assert ids.count(SOS) == 1 and ids.count(EOS) == 1
+
+
+class TestVocabLoad:
+    def test_round_trip(self, tmp_path):
+        v = build_vocab(make_articles(10))
+        v.save(tmp_path / "v.tsv")
+        back = Vocab.load(tmp_path / "v.tsv")
+        assert back.char_to_id == v.char_to_id and back.id_to_char == v.id_to_char
+
+    @pytest.mark.parametrize("body", ["6 61\n", "6\tzz\n", "x\t61\n", "6\t61\t62\n",
+                                      "6\t110000\n"])
+    def test_unparsable_line_names_the_line(self, tmp_path, body):
+        p = tmp_path / "v.tsv"
+        p.write_text("7\t62\n" + body, encoding="utf-8")
+        with pytest.raises(CorpusError, match="line 2"):
+            Vocab.load(p)
+
+    @pytest.mark.parametrize("body", ["6\t61\n6\t62\n", "6\t61\n7\t61\n"])
+    def test_repeated_id_or_character_rejected(self, tmp_path, body):
+        p = tmp_path / "v.tsv"
+        p.write_text(body, encoding="utf-8")
+        with pytest.raises(CorpusError, match="line 2.*repeats"):
+            Vocab.load(p)
 
 
 class TestEncodeDecode:

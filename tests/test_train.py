@@ -273,3 +273,116 @@ class TestClassifierTraining:
         cfg = ModelConfig.desk_scale(vocab_size=10, head_type="classifier")
         with pytest.raises(TrainError):
             evaluate_accuracy(init_params(cfg, seed=0), cfg, [])
+
+
+@pytest.fixture(scope="module")
+def loop_setup():
+    arts = make_regular_articles(16, title_words=1, sub_words=1, body_words=2)
+    vocab = build_vocab(arts)
+    lm_cfg = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32, max_seq=24,
+                         vocab_size=vocab.size, n_sections=4, dropout_rate=0.0)
+    clf_cfg = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32, max_seq=12,
+                          vocab_size=vocab.size, n_sections=4, head_type="classifier",
+                          dropout_rate=0.0)
+    lm = lm_samples_from_articles(arts, vocab, max_len=24, styled=False)
+    clf = clf_samples_from_articles(arts, vocab, max_len=12)
+    return lm_cfg, lm, clf_cfg, clf
+
+
+def _scripted(monkeypatch, name, scores, wrap):
+    """Replace train.<name> with a fake returning scores in turn; record params per call."""
+    import stylecast.train as train_mod
+
+    seen = []
+
+    def fake(params, config, samples, *rest):
+        seen.append({k: v.data.copy() for k, v in params.items()})
+        return wrap(scores[len(seen) - 1])
+
+    monkeypatch.setattr(train_mod, name, fake)
+    return seen
+
+
+def _same(a, b):
+    return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def _arrays(params):
+    return {k: v.data for k, v in params.items()}
+
+
+class TestEpochLoop:
+    """Early stop, best snapshot, max_steps and frozen backbone, for both trainers."""
+
+    def test_lm_stops_after_patience_and_keeps_best(self, loop_setup, monkeypatch):
+        cfg, samples, _, _ = loop_setup
+        seen = _scripted(monkeypatch, "evaluate_lm", [2.0, 1.0, 1.5, 1.0, 1.2, 0.5],
+                         lambda v: (v, math.exp(v)))
+        tc = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=6, seed=0,
+                         early_stop_patience=3)
+        best, log = train_lm(samples, init_params(cfg, seed=0), cfg, tc)
+        # epoch 2 is best; epochs 3, 4 (a tie) and 5 do not improve: stop after 5
+        assert len(seen) == 5
+        assert sorted({r[0] for r in log.rows}) == [1, 2, 3, 4, 5]
+        assert log.series("val", "loss") == [2.0, 1.0, 1.5, 1.0, 1.2]
+        assert _same(_arrays(best), seen[1])
+        assert not _same(seen[1], seen[4])
+
+    def test_clf_stops_after_patience_and_keeps_best(self, loop_setup, monkeypatch):
+        _, _, cfg, samples = loop_setup
+        seen = _scripted(monkeypatch, "evaluate_accuracy", [0.25, 0.5, 0.25, 0.5, 0.75],
+                         lambda v: (v, None))
+        tc = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=5, seed=0,
+                         early_stop_patience=2)
+        best, log = fine_tune_classifier(samples, init_params(cfg, seed=0), cfg, tc)
+        # epoch 2 is best; epochs 3 and 4 (a tie) do not improve: stop after 4
+        assert len(seen) == 4
+        assert sorted({r[0] for r in log.rows}) == [1, 2, 3, 4]
+        assert log.series("val", "accuracy") == [0.25, 0.5, 0.25, 0.5]
+        assert _same(_arrays(best), seen[1])
+        assert not _same(seen[1], seen[3])
+
+    def test_no_patience_runs_every_epoch(self, loop_setup, monkeypatch):
+        cfg, samples, _, _ = loop_setup
+        seen = _scripted(monkeypatch, "evaluate_lm", [1.0, 2.0, 3.0, 4.0],
+                         lambda v: (v, math.exp(v)))
+        tc = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=4, seed=0,
+                         early_stop_patience=None)
+        best, _ = train_lm(samples, init_params(cfg, seed=0), cfg, tc)
+        assert len(seen) == 4
+        assert _same(_arrays(best), seen[0])
+
+    @pytest.mark.parametrize("max_steps,epochs", [(2, 1), (5, 2)])
+    def test_lm_max_steps_stops_mid_epoch_and_validates(self, loop_setup, monkeypatch,
+                                                        max_steps, epochs):
+        import stylecast.train as train_mod
+
+        cfg, samples, _, _ = loop_setup
+        steps = []
+        real = train_mod.lm_batch_loss
+
+        def counting(params, config, batch, stats, train=False, rng=None):
+            steps.append(len(batch))
+            return real(params, config, batch, stats, train=train, rng=rng)
+
+        monkeypatch.setattr(train_mod, "lm_batch_loss", counting)
+        # 14 training samples in batches of 4: 4 steps per epoch
+        tc = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=5, seed=0,
+                         early_stop_patience=None)
+        _, log = train_lm(samples, init_params(cfg, seed=0), cfg, tc, max_steps=max_steps)
+        assert len(steps) == max_steps
+        assert len(log.series("val", "loss")) == epochs
+        assert len(log.series("train", "loss")) == epochs
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_frozen_backbone_moves_only_the_head(self, loop_setup, optimizer):
+        _, _, cfg, samples = loop_setup
+        params = init_params(cfg, seed=0)
+        before = {k: v.data.copy() for k, v in params.items()}
+        tc = TrainConfig(optimizer=optimizer, learning_rate=1e-1, batch_size=4,
+                         epochs=2, seed=0, early_stop_patience=None)
+        best, _ = fine_tune_classifier(samples, params, cfg, tc, freeze_backbone=True)
+        for name in params:
+            head = name.startswith("head.")
+            assert np.array_equal(best[name].data, before[name]) != head, name
+            assert np.array_equal(params[name].data, before[name]) != head, name

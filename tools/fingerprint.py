@@ -1,0 +1,187 @@
+"""Fixed-seed fingerprint of training, eval, generation and checkpoint outputs.
+
+A refactor that claims to keep results bit for bit runs this against the
+old and the new source and compares the outputs byte for byte:
+
+    PYTHONPATH=<old checkout>/src python3 tools/fingerprint.py > old.txt
+    PYTHONPATH=<new checkout>/src python3 tools/fingerprint.py > new.txt
+    cmp old.txt new.txt
+
+It covers train_lm for every style mode with and without early stop and
+max_steps, fine_tune_classifier for SGD and AdamW with the backbone frozen
+and not, evaluate_lm, batch losses with their gradients and graph sizes,
+greedy and sampled generation, error messages, checkpoint bytes, and the
+CLI's training, generation and eval commands. Wall times are left out.
+Takes about 20 s on one core.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.conftest import make_articles, make_regular_articles  # noqa: E402
+
+from stylecast import checkpoint, generate, model, train  # noqa: E402
+from stylecast.cli import dispatch  # noqa: E402
+from stylecast.style import StyleSpec  # noqa: E402
+from stylecast.text import build_vocab  # noqa: E402
+
+
+def h(arrs):
+    m = hashlib.sha256()
+    for k in sorted(arrs):
+        m.update(k.encode())
+        m.update(np.ascontiguousarray(arrs[k]).tobytes())
+    return m.hexdigest()[:16]
+
+
+def ph(params):
+    return h({k: v.data for k, v in params.items()})
+
+
+def ckpt_hash(params, cfg, meta):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c.ckpt"
+        checkpoint.save_checkpoint(params, cfg, path, meta)
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def show_error(tag, fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the message is the output
+        print("err", tag, type(exc).__name__, exc)
+
+
+def rows(log):
+    return [(e, s, m, v if m != "wall_time" else None) for e, s, m, v in log.rows]
+
+
+def nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.extend(t._parents)
+    return len(seen)
+
+
+def language_model(arts):
+    vocab = build_vocab(arts)
+    stats = train.corpus_stats(arts, 4)
+    for mode in ("learned10", "minmax2", "none"):
+        cfg = model.ModelConfig(n_layers=2, n_heads=2, d_model=24, d_ff=32, max_seq=24,
+                                vocab_size=vocab.size, n_sections=4, style_mode=mode,
+                                dropout_rate=0.1)
+        st = stats if mode != "none" else None
+        samples = train.lm_samples_from_articles(arts, vocab, 24, styled=mode != "none")
+        for opt in ("adamw", "sgd"):
+            for patience, lr, epochs, max_steps in ((None, 1e-2, 3, None), (1, 5e-2, 8, None),
+                                                    (2, 3e-1, 8, None), (None, 1e-2, 4, 7)):
+                tc = train.TrainConfig(optimizer=opt, learning_rate=lr, batch_size=5,
+                                       epochs=epochs, seed=3, early_stop_patience=patience)
+                params = model.init_params(cfg, seed=1)
+                best, log = train.train_lm(samples, params, cfg, tc, st, max_steps=max_steps)
+                print("lm", mode, opt, patience, lr, epochs, max_steps, ph(best), ph(params))
+                for r in rows(log):
+                    print("  ", r)
+        params = model.init_params(cfg, seed=2, zero_head=False)
+        print("eval", mode, repr(train.evaluate_lm(params, cfg, samples, st)))
+        loss = train.lm_batch_loss(params, cfg, samples[:8], st, train=True,
+                                   rng=np.random.default_rng(0))
+        loss.backward()
+        print("batch", mode, repr(loss.item()), nodes(loss),
+              h({k: v.grad for k, v in params.items()}))
+        spec = StyleSpec(1, arts[3].release_time) if mode != "none" else None
+        print("logits", mode, h({"l": model.lm_forward(params, cfg, samples[0].ids, spec,
+                                                       st).data}))
+        for pol in (generate.SamplingPolicy(mode="greedy"),
+                    generate.SamplingPolicy(mode="top_k", k=3, seed=4)):
+            print("gen", mode, repr(generate.generate("ab", spec, pol, params, cfg, vocab, st)))
+        print("ckpt", mode, ckpt_hash(params, cfg, {"a": 1}))
+        for ids in ([], [1] * 30, [1, 6]):
+            show_error(mode, model.lm_forward, params, cfg, ids, None, None)
+
+
+def classifier(arts):
+    vocab = build_vocab(arts)
+    cfg = model.ModelConfig(n_layers=2, n_heads=2, d_model=24, d_ff=32, max_seq=14,
+                            vocab_size=vocab.size, n_sections=4, head_type="classifier",
+                            dropout_rate=0.1)
+    samples = train.clf_samples_from_articles(arts, vocab, 14)
+    for opt in ("sgd", "adamw"):
+        for frozen in (False, True):
+            for patience, lr, epochs in ((None, 1e-2, 3), (1, 5e-2, 6), (2, 1e-3, 6)):
+                tc = train.TrainConfig(optimizer=opt, learning_rate=lr, batch_size=6,
+                                       epochs=epochs, seed=5, early_stop_patience=patience)
+                params = model.init_params(cfg, seed=1, zero_head=False)
+                best, log = train.fine_tune_classifier(samples, params, cfg, tc,
+                                                       freeze_backbone=frozen)
+                print("clf", opt, frozen, patience, lr, epochs, ph(best), ph(params))
+                for r in rows(log):
+                    print("  ", r)
+    params = model.init_params(cfg, seed=2, zero_head=False)
+    acc, conf = train.evaluate_accuracy(params, cfg, samples)
+    print("acc", repr(acc), conf.tolist())
+    out = model.clf_forward(params, cfg, samples[0].ids)
+    print("clf_logits", h({"l": out.data}), nodes(out))
+    print("latent", h({"l": model.extract_latent(params, cfg, samples[0].ids).data}))
+    loss = train.clf_batch_loss(params, cfg, samples[:6], train=True,
+                                rng=np.random.default_rng(1))
+    loss.backward()
+    print("clf_batch", repr(loss.item()), nodes(loss),
+          h({k: v.grad for k, v in params.items()}))
+    for ids in ([], [0] * 3, [1] * 20):
+        show_error("clf", model.clf_forward, params, cfg, ids)
+    print("ckpt clf", ckpt_hash(params, cfg, {"b": 2}))
+
+
+def command_line(arts):
+    """Relative paths keep the config hash, and so the checkpoint bytes, path-independent."""
+    lm, clf = "checkpoint=out/lm.ckpt", "checkpoint=out/clf.ckpt"
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            Path("c.jsonl").write_text("\n".join(json.dumps(dict(
+                main_title=a.main_title, sub_title=a.sub_title, body=a.body, label=a.label,
+                author=a.author, release_time=a.release_time, tags=a.tags)) for a in arts))
+            Path("run.json").write_text(json.dumps({
+                "n_layers": 1, "n_heads": 2, "d_model": 16, "d_ff": 32, "max_seq": 24,
+                "title_len": 14, "n_sections": 4, "style_mode": "learned10", "dropout": 0.1,
+                "epochs": 3, "batch_size": 8, "learning_rate": 1e-2, "seed": 0, "knn": 3,
+                "layout_epochs": 5, "corpus": "c.jsonl", "vocab": "v.tsv", "out_dir": "out"}))
+            for argv in (["ingest"], ["train-gen"], ["train-clf"],
+                         ["generate", "--prompt", "ab", "--mode", "greedy", "--set", lm],
+                         ["generate", "--prompt", "ab", "--mode", "top_k", "--top-k", "3",
+                          "--seed", "2", "--temperature", "0.7", "--set", lm],
+                         ["generate", "--prompt", "ab", "--temperature", "-1", "--set", lm],
+                         ["generate", "--prompt", "ab", "--top-k", "0", "--set", lm],
+                         ["eval", "--set", lm], ["eval", "--set", clf]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = dispatch([argv[0], "--config", "run.json"] + argv[1:])
+                print("cli", argv[0], code, repr(out.getvalue()))
+            for name in ("lm.ckpt", "clf.ckpt"):
+                print("cli ckpt", name, hashlib.sha256(Path("out", name).read_bytes()).hexdigest())
+            for name in ("train-gen-metrics.csv", "train-clf-metrics.csv"):
+                print("cli csv", name, [ln for ln in Path("out", name).read_text().splitlines()
+                                        if "wall_time" not in ln])
+        finally:
+            os.chdir(here)
+
+
+if __name__ == "__main__":
+    lm_arts = make_regular_articles(24, title_words=1, sub_words=1, body_words=2)
+    language_model(lm_arts)
+    classifier(make_articles(40))
+    command_line(lm_arts)
