@@ -305,6 +305,8 @@ def _cmd_project(args) -> int:
     names = ckpt.meta.get("section_names", cfg.section_names)
     svg = out / "scatter.svg"
     emit_scatter_svg(points, names, svg)
+    print(f"projection: n={len(result.points)} sym_edges={result.sym_edges} "
+          f"knn_s={result.stage_s['knn']:.3f} layout_s={result.stage_s['layout']:.3f}")
     print(f"latents: {out / 'latents.bin'}")
     print(f"scatter: {svg}")
     return 0

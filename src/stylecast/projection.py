@@ -1,16 +1,20 @@
 """Two-stage dimensionality reduction of latents, overlay casting, SVG output.
 
-Stage 1 builds a fuzzy k-nearest-neighbor graph: per-node bisection
-finds the kernel width sigma so the neighbor weights sum to log2(k),
-then directed weights are symmetrized by fuzzy union. Stage 2 lays the
-nodes out in 2-D by stochastic attraction along edges and repulsion
-against sampled non-neighbors, with a linearly decaying learning rate.
+Stage 1 builds a fuzzy k-nearest-neighbor graph. Distances are computed in
+fixed row blocks; one batched bisection solves every node's kernel width
+sigma so its neighbor weights sum to log2(k); directed weights are then
+symmetrized by fuzzy union over sorted COO edge arrays. Stage 2 lays the
+nodes out in 2-D: each epoch applies attraction along every edge and
+repulsion against sampled non-neighbors, all computed from one snapshot of
+the positions and scattered at once, with a linearly decaying learning rate.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -24,6 +28,7 @@ from .tensor import Tensor
 SIGMA_TOL = 1e-6
 SIGMA_ITERS = 128
 GRAD_CLIP = 4.0
+KNN_BLOCK = 256  # rows of the distance matrix held at once
 
 # 11-color palette, one per news section at full scale.
 PALETTE = [
@@ -40,7 +45,11 @@ class ProjectionError(ValueError):
 
 @dataclass
 class FuzzyGraph:
-    """Directed kNN weights plus their fuzzy-union symmetrization."""
+    """Directed kNN weights plus their fuzzy-union symmetrization.
+
+    `sym_edges` is an [m, 3] float64 array of (i, j, w) rows with i < j,
+    sorted by (i, j): one row per undirected edge.
+    """
 
     n: int
     k: int
@@ -48,7 +57,7 @@ class FuzzyGraph:
     weights: np.ndarray          # [n, k] directed weights in (0, 1]
     rhos: np.ndarray
     sigmas: np.ndarray
-    sym_edges: list[tuple[int, int, float]] = field(default_factory=list)
+    sym_edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
 
 @dataclass
@@ -61,33 +70,51 @@ class LayoutPoint:
 
 @dataclass
 class ProjectionResult:
-    """Frozen layout plus the latents that produced it, for overlay casting."""
+    """Frozen layout plus the latents that produced it, for overlay casting.
+
+    `sym_edges` and `stage_s` (seconds per stage: "knn", "layout") describe
+    the run that made the layout.
+    """
 
     points: list[LayoutPoint]
     latents: np.ndarray
     k: int
+    sym_edges: int = 0
+    stage_s: dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        """[n, 2] layout coordinates of `points`."""
+        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64).reshape(-1, 2)
 
 
-def smooth_sigma(dists: np.ndarray, k: int) -> tuple[float, float]:
-    """rho = nearest distance; sigma solved so sum exp(-(d-rho)+/sigma) = log2(k).
+def smooth_sigma(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a [rows, k] distance matrix: rho = nearest distance, and
+    sigma solved so sum exp(-(d-rho)+/sigma) = log2(k).
 
-    Bounded bisection; when several neighbors tie at rho the target can be
-    unattainable and the closest sigma is returned.
+    One bounded bisection runs on every row in lockstep: sigma doubles until
+    the sum first overshoots the target, then halves the bracket. A row stops
+    updating once it is within SIGMA_TOL. When several neighbors tie at rho
+    the target can be unattainable and the closest sigma is returned.
     """
-    rho = float(dists.min())
-    adj = np.maximum(dists - rho, 0.0)
+    d = np.asarray(dists, dtype=np.float64)
+    rho = d.min(axis=1)
+    adj = np.maximum(d - rho[:, None], 0.0)
     target = math.log2(k)
-    lo, hi, mid = 0.0, math.inf, 1.0
+    lo = np.zeros(len(d))
+    hi = np.full(len(d), np.inf)
+    mid = np.ones(len(d))
+    active = np.ones(len(d), dtype=bool)
     for _ in range(SIGMA_ITERS):
-        psum = float(np.exp(-adj / mid).sum())
-        if abs(psum - target) < SIGMA_TOL:
+        psum = np.exp(-adj / mid[:, None]).sum(axis=1)
+        active &= ~(np.abs(psum - target) < SIGMA_TOL)
+        if not active.any():
             break
-        if psum > target:
-            hi = mid
-            mid = (lo + hi) / 2.0
-        else:
-            lo = mid
-            mid = mid * 2.0 if hi == math.inf else (lo + hi) / 2.0
+        over = active & (psum > target)
+        under = active & ~over
+        hi = np.where(over, mid, hi)
+        lo = np.where(under, mid, lo)
+        mid = np.where(active, np.where(np.isinf(hi), mid * 2.0, (lo + hi) / 2.0), mid)
     return rho, mid
 
 
@@ -100,38 +127,48 @@ def fuzzy_knn_graph(points: np.ndarray, k: int) -> FuzzyGraph:
     if n <= k:
         raise ProjectionError(f"need more points ({n}) than neighbors ({k})")
     sq = (pts ** 2).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T), 0.0)
-    dist = np.sqrt(d2)
-    np.fill_diagonal(dist, np.inf)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    nd = np.empty((n, k), dtype=np.float64)
+    for start in range(0, n, KNN_BLOCK):
+        block = slice(start, min(start + KNN_BLOCK, n))
+        d2 = np.maximum(sq[block, None] + sq[None, :] - 2.0 * (pts[block] @ pts.T), 0.0)
+        dist = np.sqrt(d2)
+        rows = np.arange(block.start, block.stop)
+        dist[rows - start, rows] = np.inf
+        idx = np.argpartition(dist, k, axis=1)[:, :k]
+        near = np.take_along_axis(dist, idx, axis=1)
+        order = np.argsort(near, axis=1, kind="stable")
+        neighbors[block] = np.take_along_axis(idx, order, axis=1)
+        nd[block] = np.take_along_axis(near, order, axis=1)
+    rhos, sigmas = smooth_sigma(nd, k)
+    weights = np.exp(-np.maximum(nd - rhos[:, None], 0.0) / sigmas[:, None])
+    return FuzzyGraph(n=n, k=k, neighbors=neighbors, weights=weights, rhos=rhos,
+                      sigmas=sigmas, sym_edges=_fuzzy_union(neighbors, weights))
 
-    neighbors = np.zeros((n, k), dtype=np.int64)
-    weights = np.zeros((n, k), dtype=np.float64)
-    rhos = np.zeros(n)
-    sigmas = np.zeros(n)
-    for i in range(n):
-        idx = np.argpartition(dist[i], k)[:k]
-        idx = idx[np.argsort(dist[i][idx], kind="stable")]
-        nd = dist[i][idx]
-        rho, sigma = smooth_sigma(nd, k)
-        neighbors[i] = idx
-        weights[i] = np.exp(-np.maximum(nd - rho, 0.0) / sigma)
-        rhos[i] = rho
-        sigmas[i] = sigma
 
-    directed: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j, w in zip(neighbors[i], weights[i]):
-            directed[(i, int(j))] = float(w)
-    sym: dict[tuple[int, int], float] = {}
-    for (i, j), w in directed.items():
-        key = (min(i, j), max(i, j))
-        if key in sym:
-            continue
-        wr = directed.get((j, i), 0.0)
-        sym[key] = w + wr - w * wr
-    edges = [(i, j, w) for (i, j), w in sorted(sym.items())]
-    return FuzzyGraph(n=n, k=k, neighbors=neighbors, weights=weights,
-                      rhos=rhos, sigmas=sigmas, sym_edges=edges)
+def _fuzzy_union(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetrize directed kNN weights: w(i,j) + w(j,i) - w(i,j) w(j,i), a
+    missing direction counting 0. Returns [m, 3] (i, j, w) rows, i < j,
+    sorted by (i, j)."""
+    n, k = neighbors.shape
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    dst = neighbors.ravel()
+    w = weights.ravel()
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    keys = src * n + dst
+    reverse = dst * n + src
+    pos = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+    found = keys[pos] == reverse
+    wr = np.where(found, w[pos], 0.0)
+    # keep each undirected pair once: from its i < j direction, or from the
+    # only direction present
+    keep = (src < dst) | ~found
+    lo = np.minimum(src, dst)[keep]
+    hi = np.maximum(src, dst)[keep]
+    sym = (w + wr - w * wr)[keep]
+    order = np.lexsort((hi, lo))
+    return np.column_stack([lo[order], hi[order], sym[order]]).astype(np.float64)
 
 
 def optimize_layout(graph: FuzzyGraph, dims: int = 2, epochs: int = 200,
@@ -143,56 +180,64 @@ def optimize_layout(graph: FuzzyGraph, dims: int = 2, epochs: int = 200,
     Per epoch every edge pulls its endpoints together with strength
     proportional to its weight along the curve a*d^2b / (1 + a*d^2b);
     each edge also fires `negative_samples` repulsions from the head
-    against randomly drawn non-neighbors. Deterministic under seed.
+    against randomly drawn non-neighbors. All forces of an epoch are
+    computed from the positions at its start and applied together.
+    Deterministic under seed.
     """
     if dims != 2:
         raise ProjectionError("layout emits 2-D scatter points only")
-    if not graph.sym_edges:
+    if len(graph.sym_edges) == 0:
         raise ProjectionError("cannot lay out an empty graph")
+    n = graph.n
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-10.0, 10.0, size=(graph.n, dims))
-    neighbor_sets = [set() for _ in range(graph.n)]
-    for i, j, _ in graph.sym_edges:
-        neighbor_sets[i].add(j)
-        neighbor_sets[j].add(i)
+    emb = rng.uniform(-10.0, 10.0, size=(n, dims))
+    edges = np.asarray(graph.sym_edges, dtype=np.float64)
+    head = edges[:, 0].astype(np.int64)
+    tail = edges[:, 1].astype(np.int64)
+    w = edges[:, 2:3]
+    neighbor_keys = np.sort(np.concatenate([head * n + tail, tail * n + head]))
+    neg_head = np.repeat(head, negative_samples)
 
     clip = GRAD_CLIP
     for epoch in range(epochs):
         alpha = initial_lr * (1.0 - epoch / epochs)
-        for i, j, w in graph.sym_edges:
-            dx = emb[i, 0] - emb[j, 0]
-            dy = emb[i, 1] - emb[j, 1]
-            d2 = dx * dx + dy * dy
-            if d2 > 0.0:
-                coeff = (-2.0 * a * b * d2 ** (b - 1.0)) / (a * d2 ** b + 1.0)
-                gx = max(-clip, min(clip, coeff * dx)) * w
-                gy = max(-clip, min(clip, coeff * dy)) * w
-                emb[i, 0] += alpha * gx
-                emb[i, 1] += alpha * gy
-                emb[j, 0] -= alpha * gx
-                emb[j, 1] -= alpha * gy
-            for _ in range(negative_samples):
-                other = int(rng.integers(graph.n))
-                if other == i or other in neighbor_sets[i]:
-                    continue
-                dx = emb[i, 0] - emb[other, 0]
-                dy = emb[i, 1] - emb[other, 1]
-                d2 = dx * dx + dy * dy
-                coeff = (2.0 * b) / ((0.001 + d2) * (a * d2 ** b + 1.0))
-                emb[i, 0] += alpha * max(-clip, min(clip, coeff * dx))
-                emb[i, 1] += alpha * max(-clip, min(clip, coeff * dy))
+        diff = emb[head] - emb[tail]
+        d2 = (diff * diff).sum(axis=1, keepdims=True)
+        safe = np.where(d2 > 0.0, d2, 1.0)
+        coeff = np.where(d2 > 0.0,
+                         (-2.0 * a * b * safe ** (b - 1.0)) / (a * safe ** b + 1.0), 0.0)
+        pull = np.clip(coeff * diff, -clip, clip) * w
 
-    lab = labels if labels is not None else [0] * graph.n
-    return [LayoutPoint(float(emb[i, 0]), float(emb[i, 1]), int(lab[i]))
-            for i in range(graph.n)]
+        other = rng.integers(n, size=len(neg_head))
+        keys = neg_head * n + other
+        pos = np.minimum(np.searchsorted(neighbor_keys, keys), len(neighbor_keys) - 1)
+        ok = (other != neg_head) & (neighbor_keys[pos] != keys)
+        src, other = neg_head[ok], other[ok]
+        rdiff = emb[src] - emb[other]
+        rd2 = (rdiff * rdiff).sum(axis=1, keepdims=True)
+        rcoeff = (2.0 * b) / ((0.001 + rd2) * (a * rd2 ** b + 1.0))
+        push = np.clip(rcoeff * rdiff, -clip, clip)
+
+        at = np.concatenate([head, tail, src])
+        step = np.concatenate([pull, -pull, push])
+        emb[:, 0] += alpha * np.bincount(at, weights=step[:, 0], minlength=n)
+        emb[:, 1] += alpha * np.bincount(at, weights=step[:, 1], minlength=n)
+
+    lab = labels if labels is not None else [0] * n
+    return [LayoutPoint(x, y, int(l)) for (x, y), l in zip(emb.tolist(), lab)]
 
 
 def project_latents(latents: np.ndarray, labels: list[int], k: int = 15,
                     epochs: int = 200, seed: int = 0) -> ProjectionResult:
     """Stage 1 + stage 2 over a latent matrix, retaining it for overlays."""
+    t0 = time.perf_counter()
     graph = fuzzy_knn_graph(latents, k)
+    t1 = time.perf_counter()
     points = optimize_layout(graph, epochs=epochs, seed=seed, labels=labels)
-    return ProjectionResult(points=points, latents=np.asarray(latents, dtype=np.float64), k=k)
+    t2 = time.perf_counter()
+    return ProjectionResult(points=points, latents=np.asarray(latents, dtype=np.float64), k=k,
+                            sym_edges=len(graph.sym_edges),
+                            stage_s={"knn": t1 - t0, "layout": t2 - t1})
 
 
 def cast_latent(latent: np.ndarray, result: ProjectionResult) -> LayoutPoint:
@@ -205,12 +250,11 @@ def cast_latent(latent: np.ndarray, result: ProjectionResult) -> LayoutPoint:
     idx = np.argpartition(dist, k - 1)[:k] if k < len(dist) else np.arange(len(dist))
     idx = idx[np.argsort(dist[idx], kind="stable")]
     nd = dist[idx]
-    rho, sigma = smooth_sigma(nd, max(k, 2))
+    rho, sigma = smooth_sigma(nd[None, :], max(k, 2))
     w = np.exp(-np.maximum(nd - rho, 0.0) / sigma)
     w /= w.sum()
-    x = float(sum(wi * result.points[i].x for wi, i in zip(w, idx)))
-    y = float(sum(wi * result.points[i].y for wi, i in zip(w, idx)))
-    return LayoutPoint(x, y, OVERLAY_LABEL, is_overlay=True)
+    x, y = w @ result.xy[idx]
+    return LayoutPoint(float(x), float(y), OVERLAY_LABEL, is_overlay=True)
 
 
 def cast_overlay(phrase: str, params: dict[str, Tensor], config: ModelConfig,

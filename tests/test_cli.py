@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -193,6 +194,18 @@ class TestPipeline:
         assert svg.count("<circle") >= 24
         assert 'fill="#000000"' in svg
         assert (root / "out" / "latents.bin").exists()
+
+    def test_08b_project_reports_stage_times(self, workdir, capsys):
+        root, cfg = workdir
+        code = dispatch(["project", "--config", str(cfg), "--limit", "20",
+                         "--set", f"checkpoint={root / 'out' / 'clf.ckpt'}"])
+        assert code == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("projection:"))
+        m = re.fullmatch(r"projection: n=(\d+) sym_edges=(\d+) "
+                         r"knn_s=(\d+\.\d{3}) layout_s=(\d+\.\d{3})", line)
+        assert m, line
+        assert int(m.group(1)) == 20 and int(m.group(2)) >= 20 * 3 // 2
 
     def test_09_eval_lm(self, workdir, capsys):
         root, cfg = workdir

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from stylecast.projection import (
-    LayoutPoint, ProjectionError, cast_latent, emit_scatter_svg, fuzzy_knn_graph,
-    optimize_layout, project_latents, read_latents, write_latents,
+    KNN_BLOCK, SIGMA_ITERS, SIGMA_TOL, LayoutPoint, ProjectionError, cast_latent,
+    emit_scatter_svg, fuzzy_knn_graph, optimize_layout, project_latents, read_latents,
+    smooth_sigma, write_latents,
 )
 
 
@@ -91,6 +92,142 @@ class TestFuzzyGraph:
             fuzzy_knn_graph(np.zeros((3, 2)), k=3)
         with pytest.raises(ProjectionError):
             fuzzy_knn_graph(np.zeros((10, 2)), k=1)
+
+
+# -- loop references for the array code ---------------------------------------------
+
+
+def reference_sigma(dists, k):
+    """Per-row scalar bisection: the loop that smooth_sigma runs in lockstep."""
+    rho = float(dists.min())
+    adj = np.maximum(dists - rho, 0.0)
+    target = math.log2(k)
+    lo, hi, mid = 0.0, math.inf, 1.0
+    for _ in range(SIGMA_ITERS):
+        psum = float(np.exp(-adj / mid).sum())
+        if abs(psum - target) < SIGMA_TOL:
+            break
+        if psum > target:
+            hi = mid
+            mid = (lo + hi) / 2.0
+        else:
+            lo = mid
+            mid = mid * 2.0 if hi == math.inf else (lo + hi) / 2.0
+    return rho, mid
+
+
+def reference_graph(points, k):
+    """Dense distances, one neighbor search and sigma solve per row, dict fuzzy union."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    sq = (pts ** 2).sum(axis=1)
+    dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T), 0.0))
+    np.fill_diagonal(dist, np.inf)
+    neighbors = np.zeros((n, k), dtype=np.int64)
+    weights = np.zeros((n, k))
+    rhos, sigmas = np.zeros(n), np.zeros(n)
+    for i in range(n):
+        idx = np.argpartition(dist[i], k)[:k]
+        idx = idx[np.argsort(dist[i][idx], kind="stable")]
+        nd = dist[i][idx]
+        rhos[i], sigmas[i] = reference_sigma(nd, k)
+        neighbors[i] = idx
+        weights[i] = np.exp(-np.maximum(nd - rhos[i], 0.0) / sigmas[i])
+    directed = {(i, int(j)): float(w) for i in range(n)
+                for j, w in zip(neighbors[i], weights[i])}
+    sym = {}
+    for (i, j), w in directed.items():
+        key = (min(i, j), max(i, j))
+        if key not in sym:
+            wr = directed.get((j, i), 0.0)
+            sym[key] = w + wr - w * wr
+    return neighbors, rhos, sigmas, sorted(sym.items())
+
+
+def reference_layout(graph, epochs, seed, a=1.58, b=0.9, negative_samples=5, clip=4.0):
+    """Per-edge loop with the epoch's forces all taken from its starting positions."""
+    n = graph.n
+    rng = np.random.default_rng(seed)
+    emb = rng.uniform(-10.0, 10.0, size=(n, 2))
+    edges = [(int(i), int(j), float(w)) for i, j, w in graph.sym_edges]
+    near = {(i, j) for i, j, _ in edges} | {(j, i) for i, j, _ in edges}
+    for epoch in range(epochs):
+        alpha = 1.0 - epoch / epochs
+        snap = emb.copy()
+        pulls, pushes = [], []
+        for i, j, w in edges:
+            diff = snap[i] - snap[j]
+            d2 = float(diff @ diff)
+            coeff = (-2.0 * a * b * d2 ** (b - 1.0)) / (a * d2 ** b + 1.0) if d2 > 0 else 0.0
+            pulls.append((i, j, np.clip(coeff * diff, -clip, clip) * w))
+        draws = rng.integers(n, size=len(edges) * negative_samples)
+        for e, other in enumerate(draws):
+            i = edges[e // negative_samples][0]
+            if other != i and (i, other) not in near:
+                diff = snap[i] - snap[other]
+                d2 = float(diff @ diff)
+                coeff = (2.0 * b) / ((0.001 + d2) * (a * d2 ** b + 1.0))
+                pushes.append((i, np.clip(coeff * diff, -clip, clip)))
+        for i, j, g in pulls:
+            emb[i] += alpha * g
+            emb[j] -= alpha * g
+        for i, g in pushes:
+            emb[i] += alpha * g
+    return emb
+
+
+def oracle_cases():
+    rng = np.random.default_rng(11)
+    dup = rng.standard_normal((30, 4))
+    yield "random", rng.standard_normal((80, 8)), 6
+    yield "duplicates", np.vstack([dup, dup[:12], dup[:5]]), 5   # copies tie at rho
+    yield "k=2", rng.standard_normal((25, 3)), 2
+    yield "n=k+1", rng.standard_normal((9, 5)), 8
+    yield "lattice", np.array([[x, y] for x in range(6) for y in range(6)], float), 4
+
+
+class TestArrayCodeOracle:
+    @pytest.mark.parametrize("name,pts,k", list(oracle_cases()),
+                             ids=[c[0] for c in oracle_cases()])
+    def test_graph_matches_loop_reference(self, name, pts, k):
+        # one block computes pts @ pts.T like the reference, so the distance bits,
+        # and with them the choice among exact ties at the k-th neighbor, agree
+        assert len(pts) <= KNN_BLOCK
+        neighbors, rhos, sigmas, sym = reference_graph(pts, k)
+        g = fuzzy_knn_graph(pts, k)
+        assert np.array_equal(g.neighbors, neighbors)
+        assert np.array_equal(g.rhos, rhos)
+        np.testing.assert_allclose(g.sigmas, sigmas, rtol=1e-9)
+        edges = np.asarray(g.sym_edges)
+        assert edges.shape == (len(sym), 3) and len(g.sym_edges) == len(sym)
+        assert [(int(i), int(j)) for i, j, _ in edges] == [key for key, _ in sym]
+        np.testing.assert_allclose(edges[:, 2], [w for _, w in sym], rtol=1e-9)
+
+    def test_blocked_distances_match_dense(self):
+        pts = np.random.default_rng(12).standard_normal((KNN_BLOCK + 70, 16))
+        neighbors, rhos, sigmas, sym = reference_graph(pts, 10)
+        g = fuzzy_knn_graph(pts, 10)
+        assert np.array_equal(g.neighbors, neighbors)
+        np.testing.assert_allclose(g.rhos, rhos, rtol=1e-9)
+        np.testing.assert_allclose(g.sigmas, sigmas, rtol=1e-9)
+        assert [(int(i), int(j)) for i, j, _ in g.sym_edges] == [key for key, _ in sym]
+
+    def test_layout_matches_edge_loop_reference(self):
+        pts, labels = gaussian_clusters(n_per=15, d=6, centers=2, seed=15)
+        g = fuzzy_knn_graph(pts, k=4)
+        got = optimize_layout(g, epochs=6, seed=3, labels=labels)
+        want = reference_layout(g, epochs=6, seed=3)
+        np.testing.assert_allclose([(p.x, p.y) for p in got], want, rtol=1e-9, atol=1e-9)
+
+    def test_single_row_equals_its_batch_row(self):
+        rng = np.random.default_rng(13)
+        d = np.sort(np.abs(rng.standard_normal((40, 7))), axis=1)
+        d[3] = d[3, 0]  # all tied at rho: the target is out of reach
+        rho, sigma = smooth_sigma(d, 7)
+        for r in (0, 3, 39):
+            rho1, sigma1 = smooth_sigma(d[r:r + 1], 7)
+            assert rho1.shape == sigma1.shape == (1,)
+            assert rho1[0] == rho[r] and sigma1[0] == sigma[r]
 
 
 class TestLayout:
