@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_write_bytes
-from .model import ModelConfig
+from .model import ModelConfig, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"WYN1"
@@ -90,8 +90,13 @@ def load_checkpoint(path: str | Path, expect_head: str | None = None) -> Checkpo
         count = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(dims).copy()
         params[name] = Tensor(arr, requires_grad=True)
-    if "head.w" not in params:
-        raise CheckpointError(f"{p}: checkpoint carries no head weights")
+    have = {name: t.data.shape for name, t in params.items()}
+    want = param_shapes(config)
+    if have != want:
+        bad = sorted(f"{n} {have.get(n, 'missing')} vs {want.get(n, 'not in config')}"
+                     for n in have.keys() | want.keys() if have.get(n) != want.get(n))
+        raise CheckpointError(f"{p}: tensors do not match the model config (file vs config): "
+                              + ", ".join(bad))
     if expect_head is not None and config.head_type != expect_head:
         have = params["head.w"].data.shape
         want_width = config.vocab_size if expect_head == "lm" else config.n_sections

@@ -28,7 +28,7 @@ from .projection import (
 from .style import CorpusStats, StyleError, StyleSpec
 from .text import CorpusError, Vocab, build_vocab, load_jsonl
 from .train import (
-    TrainError, clf_samples_from_articles, corpus_stats, evaluate_accuracy,
+    EVAL_BATCH, TrainError, clf_samples_from_articles, corpus_stats, evaluate_accuracy,
     evaluate_lm, fine_tune_classifier, lm_samples_from_articles, train_lm,
 )
 
@@ -290,10 +290,10 @@ def _cmd_project(args) -> int:
     if len(articles) <= cfg.knn:
         raise ProjectionError(
             f"need more than knn={cfg.knn} titles to project, got {len(articles)}")
-    latents = np.stack([
-        extract_latent(ckpt.params, ckpt.config,
-                       text.encode_title(a.main_title, vocab, ckpt.config.max_seq)).data
-        for a in articles])
+    ids = [text.encode_title(a.main_title, vocab, ckpt.config.max_seq) for a in articles]
+    latents = np.concatenate([
+        extract_latent(ckpt.params, ckpt.config, ids[lo:lo + EVAL_BATCH]).data
+        for lo in range(0, len(ids), EVAL_BATCH)])
     labels = [a.label for a in articles]
     out = _out_dir(cfg)
     write_latents(out / "latents.bin", latents)

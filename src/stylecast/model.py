@@ -1,14 +1,15 @@
 """One encoder-block transformer backbone under two heads.
 
-`backbone` computes the hidden state. The generator runs it causal-masked
-under a vocab-sized head; the classifier runs it unmasked (pads
-attention-masked out) under a section head read at the last non-pad
-position. Pre-norm residual ordering throughout.
+`backbone` computes the hidden state of a [B, T] id batch as [B*T, d]
+rows. The generator runs it causal-masked under a vocab-sized head; the
+classifier runs it unmasked (pads attention-masked out) under a section
+head read at each sequence's last non-pad position. Pre-norm residual
+ordering throughout. The forwards take one id sequence or a [B, T] batch;
+one sequence is a batch of one with the batch axis dropped from the result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -19,10 +20,7 @@ from .style import (
     LEARNED_HIDDEN, CorpusStats, StyleSpec, fuse_embedding, learned_style, minmax_style,
     style_dim,
 )
-from .tensor import (
-    Tensor, add, concat_cols, dropout, embedding, gelu, layer_norm, matmul,
-    reshape, scale, slice_cols, slice_rows, softmax, transpose,
-)
+from .tensor import Tensor, add, attention, dropout, embedding, gelu, layer_norm, matmul, reshape
 
 NEG_INF = float("-inf")
 
@@ -87,6 +85,22 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
     return np.clip(rng.standard_normal(shape) * std, -2.0 * std, 2.0 * std).astype(dtype)
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in declaration (and checkpoint) order."""
+    d, f, w, t = config.d_model, config.d_ff, config.head_width, config.token_dim
+    shapes = {"tok_emb": (config.vocab_size, t), "pos_emb": (config.max_seq, t)}
+    if config.style_mode == "learned10":
+        h, s = LEARNED_HIDDEN, style_dim("learned10")
+        shapes |= {"style.w1": (config.n_sections + 1, h), "style.b1": (h,),
+                   "style.w2": (h, s), "style.b2": (s,)}
+    for i in range(config.n_layers):
+        shapes |= {f"layer{i}.{name}": shape for name, shape in (
+            ("attn.wq", (d, d)), ("attn.wk", (d, d)), ("attn.wv", (d, d)), ("attn.wo", (d, d)),
+            ("ln1.g", (d,)), ("ln1.b", (d,)), ("ln2.g", (d,)), ("ln2.b", (d,)),
+            ("ffn.w1", (d, f)), ("ffn.b1", (f,)), ("ffn.w2", (f, d)), ("ffn.b2", (d,)))}
+    return shapes | {"ln_f.g": (d,), "ln_f.b": (d,), "head.w": (d, w), "head.b": (w,)}
+
+
 def init_params(config: ModelConfig, seed: int = 0,
                 dtype=np.float32, zero_head: bool = True) -> dict[str, Tensor]:
     """Fresh parameter dict in declaration order.
@@ -95,40 +109,15 @@ def init_params(config: ModelConfig, seed: int = 0,
     zero, gains one. Heads start zero ("blank") unless zero_head is off.
     """
     rng = np.random.default_rng(seed)
-    std = 0.02
     p: dict[str, Tensor] = {}
-
-    def param(name: str, arr: np.ndarray) -> None:
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 1:
+            arr = (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=dtype)
+        elif name == "head.w" and zero_head:
+            arr = np.zeros(shape, dtype=dtype)
+        else:
+            arr = _trunc_normal(rng, shape, 0.02, dtype)
         p[name] = Tensor(arr, requires_grad=True)
-
-    param("tok_emb", _trunc_normal(rng, (config.vocab_size, config.token_dim), std, dtype))
-    param("pos_emb", _trunc_normal(rng, (config.max_seq, config.token_dim), std, dtype))
-    if config.style_mode == "learned10":
-        s_in, s_out = config.n_sections + 1, style_dim("learned10")
-        param("style.w1", _trunc_normal(rng, (s_in, LEARNED_HIDDEN), std, dtype))
-        param("style.b1", np.zeros(LEARNED_HIDDEN, dtype=dtype))
-        param("style.w2", _trunc_normal(rng, (LEARNED_HIDDEN, s_out), std, dtype))
-        param("style.b2", np.zeros(s_out, dtype=dtype))
-    d, f = config.d_model, config.d_ff
-    for i in range(config.n_layers):
-        pre = f"layer{i}."
-        for w in ("wq", "wk", "wv", "wo"):
-            param(pre + "attn." + w, _trunc_normal(rng, (d, d), std, dtype))
-        param(pre + "ln1.g", np.ones(d, dtype=dtype))
-        param(pre + "ln1.b", np.zeros(d, dtype=dtype))
-        param(pre + "ln2.g", np.ones(d, dtype=dtype))
-        param(pre + "ln2.b", np.zeros(d, dtype=dtype))
-        param(pre + "ffn.w1", _trunc_normal(rng, (d, f), std, dtype))
-        param(pre + "ffn.b1", np.zeros(f, dtype=dtype))
-        param(pre + "ffn.w2", _trunc_normal(rng, (f, d), std, dtype))
-        param(pre + "ffn.b2", np.zeros(d, dtype=dtype))
-    param("ln_f.g", np.ones(d, dtype=dtype))
-    param("ln_f.b", np.zeros(d, dtype=dtype))
-    if zero_head:
-        param("head.w", np.zeros((d, config.head_width), dtype=dtype))
-    else:
-        param("head.w", _trunc_normal(rng, (d, config.head_width), std, dtype))
-    param("head.b", np.zeros(config.head_width, dtype=dtype))
     return p
 
 
@@ -144,50 +133,26 @@ def causal_mask(n: int) -> np.ndarray:
     return m
 
 
-def pad_mask(ids: Sequence[int]) -> np.ndarray | None:
-    """[T, T] additive mask shutting off attention into [PAD] columns."""
-    cols = np.asarray([NEG_INF if i == text.PAD else 0.0 for i in ids], dtype=np.float32)
-    if not np.any(np.isneginf(cols)):
-        return None
-    return np.tile(cols, (len(ids), 1))
+def pad_mask(ids: np.ndarray) -> np.ndarray:
+    """[B, 1, T] additive mask shutting off attention into [PAD] columns of a [B, T] batch."""
+    return np.where(ids == text.PAD, NEG_INF, 0.0).astype(np.float32)[:, None, :]
 
 
 # -- forward pieces ---------------------------------------------------------------
 
 
-def attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """One attention head: softmax(q k^T / sqrt(d_head) + mask) v."""
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    d_head = wq.data.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_head))
-    if mask is not None:
-        scores = add(scores, Tensor(mask.astype(scores.data.dtype)))
-    return matmul(softmax(scores, axis=-1), v)
-
-
 def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str,
                   n_heads: int, mask: np.ndarray | None,
                   drop_rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
-    """Pre-norm block: x + attn(LN(x)), then + FFN(LN(.))."""
-    d = x.data.shape[1]
-    d_head = d // n_heads
+    """Pre-norm block over [B*T, d] rows: x + attn(LN(x)), then + FFN(LN(.)).
 
+    `mask` is the [B or 1, T or 1, T] attention mask; with none the rows are one sequence.
+    """
     normed = layer_norm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        heads.append(attention_head(
-            normed,
-            slice_cols(params[prefix + "attn.wq"], lo, hi),
-            slice_cols(params[prefix + "attn.wk"], lo, hi),
-            slice_cols(params[prefix + "attn.wv"], lo, hi),
-            mask,
-        ))
-    attn_out = matmul(concat_cols(heads), params[prefix + "attn.wo"])
-    x = add(x, dropout(attn_out, drop_rate, rng))
+    heads = attention(matmul(normed, params[prefix + "attn.wq"]),
+                      matmul(normed, params[prefix + "attn.wk"]),
+                      matmul(normed, params[prefix + "attn.wv"]), n_heads, mask)
+    x = add(x, dropout(matmul(heads, params[prefix + "attn.wo"]), drop_rate, rng))
 
     normed = layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
     ff = matmul(gelu(add(matmul(normed, params[prefix + "ffn.w1"]), params[prefix + "ffn.b1"])),
@@ -195,81 +160,90 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str,
     return add(x, dropout(add(ff, params[prefix + "ffn.b2"]), drop_rate, rng))
 
 
-def _style_vector(params: dict[str, Tensor], config: ModelConfig,
-                  spec: StyleSpec | None, stats: CorpusStats | None):
+def _style_rows(params: dict[str, Tensor], config: ModelConfig,
+                specs: Sequence[StyleSpec | None] | None, stats: CorpusStats | None):
     if config.style_mode == "none":
         return None
-    if spec is None or stats is None:
+    if specs is None or stats is None or any(s is None for s in specs):
         raise ConfigError(f"style mode {config.style_mode} needs a StyleSpec and CorpusStats")
     if config.style_mode == "minmax2":
-        return minmax_style(spec, stats)
-    return learned_style(spec, stats, params["style.w1"], params["style.b1"],
+        return minmax_style(specs, stats)
+    return learned_style(specs, stats, params["style.w1"], params["style.b1"],
                          params["style.w2"], params["style.b2"])
 
 
-def backbone(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int],
-             mask: np.ndarray | None, style: Tensor | np.ndarray | None,
+def backbone(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
+             mask: np.ndarray, style: Tensor | np.ndarray | None,
              train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Hidden state [T, d_model] shared by both heads.
+    """Hidden rows [B*T, d_model] of a [B, T] id batch, shared by both heads.
 
-    Token plus position embeddings, fused with the style vector, input
-    dropout, the encoder blocks under `mask`, then the final layer norm.
+    Token plus position embeddings, fused with each sequence's style row,
+    input dropout, the encoder blocks under `mask`, then the final layer norm.
     """
+    b, t = ids.shape
     drop = config.dropout_rate if train else 0.0
-    tok = embedding(params["tok_emb"], ids)
-    pos = slice_rows(params["pos_emb"], 0, len(ids))
+    tok = embedding(params["tok_emb"], ids.reshape(-1))
+    pos = embedding(params["pos_emb"], np.tile(np.arange(t), b))
     h = dropout(fuse_embedding(add(tok, pos), style, config.d_model), drop, rng)
     for i in range(config.n_layers):
         h = encoder_block(h, params, f"layer{i}.", config.n_heads, mask, drop, rng)
     return layer_norm(h, params["ln_f.g"], params["ln_f.b"])
 
 
-def _check_length(config: ModelConfig, ids: Sequence[int]) -> None:
-    if not 1 <= len(ids) <= config.max_seq:
-        raise ValueError(f"sequence length {len(ids)} outside [1, {config.max_seq}]")
+def _batch(config: ModelConfig, ids) -> tuple[np.ndarray, bool]:
+    """ids as a [B, T] array, and whether they were one sequence."""
+    arr = np.asarray(ids, dtype=np.int64)
+    batch = arr.reshape(1, -1) if arr.ndim == 1 else arr
+    if batch.ndim != 2 or not 1 <= batch.shape[1] <= config.max_seq:
+        raise ValueError(f"id batch of shape {batch.shape}: sequence length outside "
+                         f"[1, {config.max_seq}]")
+    return batch, arr.ndim == 1
 
 
-def lm_forward(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int],
-               spec: StyleSpec | None = None, stats: CorpusStats | None = None,
+def lm_forward(params: dict[str, Tensor], config: ModelConfig, ids,
+               spec: StyleSpec | Sequence[StyleSpec] | None = None,
+               stats: CorpusStats | None = None,
                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Causal logits [T, vocab_size]; logits[i] depends only on ids[..i] and style."""
+    """Causal logits: [T, vocab_size] for one id sequence, [B*T, vocab_size] for a [B, T] batch.
+
+    A batch takes one StyleSpec per sequence. logits[i] depends only on
+    ids[..i] of its own sequence and that sequence's style.
+    """
     if config.head_type != "lm":
         raise ConfigError("lm_forward on a classifier-headed model")
-    _check_length(config, ids)
-    style = _style_vector(params, config, spec, stats)
-    h = backbone(params, config, ids, causal_mask(len(ids)), style, train, rng)
+    batch, single = _batch(config, ids)
+    style = _style_rows(params, config, [spec] if single else spec, stats)
+    h = backbone(params, config, batch, causal_mask(batch.shape[1])[None], style, train, rng)
     return add(matmul(h, params["head.w"]), params["head.b"])
 
 
-def _loaded_position(ids: Sequence[int]) -> int:
-    for i in range(len(ids) - 1, -1, -1):
-        if ids[i] != text.PAD:
-            return i
-    raise ValueError("input is all [PAD]")
-
-
-def _clf_hidden(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int],
-                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+def _clf_hidden(params: dict[str, Tensor], config: ModelConfig, ids,
+                train: bool = False, rng: np.random.Generator | None = None):
+    """[B, d_model] hidden rows at each sequence's last non-pad position."""
     if config.head_type != "classifier":
         raise ConfigError("classifier forward on an lm-headed model")
-    _check_length(config, ids)
-    loaded = _loaded_position(ids)
-    h = backbone(params, config, ids, pad_mask(ids), None, train, rng)
-    return slice_rows(h, loaded, loaded + 1)
+    batch, single = _batch(config, ids)
+    loaded = batch != text.PAD
+    if not loaded.any(axis=1).all():
+        raise ValueError("input is all [PAD]")
+    b, t = batch.shape
+    last = t - 1 - np.argmax(loaded[:, ::-1], axis=1)
+    h = backbone(params, config, batch, pad_mask(batch), None, train, rng)
+    return embedding(h, np.arange(b) * t + last), single
 
 
-def clf_forward(params: dict[str, Tensor], config: ModelConfig, ids: Sequence[int],
+def clf_forward(params: dict[str, Tensor], config: ModelConfig, ids,
                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Section logits [n_sections] read at the last non-pad position."""
-    hidden = _clf_hidden(params, config, ids, train, rng)
+    """Section logits read at the last non-pad position: [n_sections], or [B, n_sections]."""
+    hidden, single = _clf_hidden(params, config, ids, train, rng)
     logits = add(matmul(hidden, params["head.w"]), params["head.b"])
-    return reshape(logits, (config.n_sections,))
+    return reshape(logits, (config.n_sections,)) if single else logits
 
 
-def extract_latent(params: dict[str, Tensor], config: ModelConfig,
-                   ids: Sequence[int]) -> Tensor:
-    """Hidden state at the loaded token, before the classifier head."""
-    return reshape(_clf_hidden(params, config, ids), (config.d_model,))
+def extract_latent(params: dict[str, Tensor], config: ModelConfig, ids) -> Tensor:
+    """Hidden state at the loaded token, before the classifier head: [d_model], or [B, d_model]."""
+    hidden, single = _clf_hidden(params, config, ids)
+    return reshape(hidden, (config.d_model,)) if single else hidden
 
 
 def convert_to_classifier(params: dict[str, Tensor], config: ModelConfig,

@@ -2,17 +2,19 @@
 
 Three modes: learned10 (two trainable linear layers to a 10-d vector),
 minmax2 (min-max normalized section and timestamp), none. The style
-vector is concatenated onto every token embedding so token_dim +
-style_dim always equals d_model.
+functions take a batch of specs and return one row per spec; each
+sequence's row is concatenated onto every one of its token embeddings,
+so token_dim + style_dim always equals d_model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, add, concat_cols, gelu, matmul, tile_rows
+from .tensor import Tensor, add, concat_cols, embedding, gelu, matmul
 
 STYLE_DIMS = {"learned10": 10, "minmax2": 2, "none": 0}
 LEARNED_HIDDEN = 32
@@ -49,48 +51,52 @@ def style_dim(mode: str) -> int:
     return STYLE_DIMS[mode]
 
 
-def _norm_time(timestamp: int, stats: CorpusStats) -> float:
-    t = (timestamp - stats.t_min) / (stats.t_max - stats.t_min)
-    return min(max(t, 0.0), 1.0)
+def _norm_time(specs: Sequence[StyleSpec], stats: CorpusStats) -> np.ndarray:
+    t = np.array([s.timestamp for s in specs], dtype=np.float64)
+    return np.clip((t - stats.t_min) / (stats.t_max - stats.t_min), 0.0, 1.0)
 
 
-def minmax_style(spec: StyleSpec, stats: CorpusStats) -> np.ndarray:
-    """[section/(S-1), (t-t_min)/(t_max-t_min)], both clamped to [0, 1]."""
+def minmax_style(specs: Sequence[StyleSpec], stats: CorpusStats) -> np.ndarray:
+    """[B, 2] rows [section/(S-1), (t-t_min)/(t_max-t_min)], both clamped to [0, 1]."""
     stats.validate()
-    s = spec.section_id / (stats.n_sections - 1)
-    return np.array([min(max(s, 0.0), 1.0), _norm_time(spec.timestamp, stats)],
-                    dtype=np.float32)
+    s = np.array([spec.section_id for spec in specs], dtype=np.float64) / (stats.n_sections - 1)
+    return np.stack([np.clip(s, 0.0, 1.0), _norm_time(specs, stats)], axis=1).astype(np.float32)
 
 
-def learned_style(spec: StyleSpec, stats: CorpusStats,
+def learned_style(specs: Sequence[StyleSpec], stats: CorpusStats,
                   w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two linear layers with a GELU between, from one-hot section + time scalar.
 
-    Input is [1, S+1]; output [1, 10]. Gradients reach all four params.
+    Input is [B, S+1]; output [B, 10]. Gradients reach all four params.
     """
     stats.validate()
-    if not 0 <= spec.section_id < stats.n_sections:
-        raise IndexError(f"section {spec.section_id} out of range [0, {stats.n_sections})")
-    x = np.zeros((1, stats.n_sections + 1), dtype=w1.data.dtype)
-    x[0, spec.section_id] = 1.0
-    x[0, stats.n_sections] = _norm_time(spec.timestamp, stats)
+    sections = np.array([spec.section_id for spec in specs], dtype=np.int64)
+    if np.any((sections < 0) | (sections >= stats.n_sections)):
+        raise IndexError(f"section out of range [0, {stats.n_sections}): {sections.tolist()}")
+    x = np.zeros((len(specs), stats.n_sections + 1), dtype=w1.data.dtype)
+    x[np.arange(len(specs)), sections] = 1.0
+    x[:, stats.n_sections] = _norm_time(specs, stats)
     h = gelu(add(matmul(Tensor(x), w1), b1))
     return add(matmul(h, w2), b2)
 
 
-def fuse_embedding(token_embeds: Tensor, style_vec: Tensor | np.ndarray | None,
+def fuse_embedding(token_embeds: Tensor, style: Tensor | np.ndarray | None,
                    d_model: int) -> Tensor:
-    """Append the same style vector to every token row; output width d_model."""
+    """Append each sequence's style row to each of its token rows; output width d_model.
+
+    token_embeds holds B sequences of equal length as [B*T, t_dim] rows;
+    style holds their [B, s_dim] rows (a 1-D array is one row).
+    """
     t_dim = token_embeds.data.shape[1]
-    if style_vec is None:
+    if style is None:
         if t_dim != d_model:
             raise StyleError(f"token width {t_dim} != d_model {d_model} with no style")
         return token_embeds
-    if isinstance(style_vec, np.ndarray):
-        style_vec = Tensor(style_vec.reshape(1, -1))
-    s_dim = style_vec.data.shape[1]
-    if t_dim + s_dim != d_model:
-        raise StyleError(
-            f"token width {t_dim} + style width {s_dim} != d_model {d_model}")
+    if isinstance(style, np.ndarray):
+        style = Tensor(np.atleast_2d(style))
+    b, s_dim = style.data.shape
     n = token_embeds.data.shape[0]
-    return concat_cols([token_embeds, tile_rows(style_vec, n)])
+    if t_dim + s_dim != d_model or n % b:
+        raise StyleError(f"token rows {token_embeds.data.shape} do not fit style rows "
+                         f"{style.data.shape} at d_model {d_model}")
+    return concat_cols([token_embeds, embedding(style, np.repeat(np.arange(b), n // b))])

@@ -3,8 +3,15 @@
 Values live in numpy arrays (float32 by default, float64 if the caller
 feeds float64 arrays); every op records a backward closure so a single
 `backward()` call on a scalar populates `.grad` on all reachable inputs.
-Broadcasting is restricted to the patterns the transformer needs
-(row-wise bias add, row tiling); anything else is a shape error.
+Ops are 2-D: a batch of B sequences of T positions is B*T rows, and
+`attention` alone looks inside it, reshaping the rows to [B, heads, T,
+d_head]. Broadcasting is restricted to the patterns the transformer needs
+(row-wise bias add, an attention mask over heads); anything else is a
+shape error.
+
+A backward closure takes its output's gradient as an argument and holds
+no reference to its output, so a graph is acyclic and reference counting
+frees it once the last tensor in it is dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._op = ""
 
     @property
@@ -69,7 +76,7 @@ class Tensor:
 
     @staticmethod
     def _node(data: np.ndarray, parents: Sequence["Tensor"], op: str,
-              backward: Callable[[], None] | None) -> "Tensor":
+              backward: Callable[[np.ndarray], None] | None) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -86,7 +93,8 @@ class Tensor:
         """Reverse-mode sweep from a scalar loss.
 
         Visits each producing op exactly once, in reverse topological
-        order; gradients accumulate additively across shared inputs.
+        order; gradients accumulate additively across shared inputs. Each
+        op is unlinked from its closure and parents once consumed.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -109,7 +117,9 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -131,12 +141,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not match")
     out_data = a.data + b.data
 
-    def backward() -> None:
-        _accumulate(a, out.grad)
-        _accumulate(b, out.grad.sum(axis=0) if bias_row else out.grad)
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g)
+        _accumulate(b, g.sum(axis=0) if bias_row else g)
 
-    out = Tensor._node(out_data, (a, b), "add", backward)
-    return out
+    return Tensor._node(out_data, (a, b), "add", backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -144,22 +153,20 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not match")
     out_data = a.data * b.data
 
-    def backward() -> None:
-        _accumulate(a, out.grad * b.data)
-        _accumulate(b, out.grad * a.data)
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
-    out = Tensor._node(out_data, (a, b), "mul", backward)
-    return out
+    return Tensor._node(out_data, (a, b), "mul", backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     out_data = a.data * c
 
-    def backward() -> None:
-        _accumulate(a, out.grad * c)
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g * c)
 
-    out = Tensor._node(out_data, (a,), "scale", backward)
-    return out
+    return Tensor._node(out_data, (a,), "scale", backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -169,102 +176,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: shapes {a.data.shape} and {b.data.shape} are not conformable")
     out_data = a.data @ b.data
 
-    def backward() -> None:
-        _accumulate(a, out.grad @ b.data.T)
-        _accumulate(b, a.data.T @ out.grad)
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
-    out = Tensor._node(out_data, (a, b), "matmul", backward)
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got shape {a.data.shape}")
-
-    def backward() -> None:
-        _accumulate(a, out.grad.T)
-
-    out = Tensor._node(a.data.T.copy(), (a,), "transpose", backward)
-    return out
+    return Tensor._node(out_data, (a, b), "matmul", backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def backward() -> None:
-        _accumulate(a, out.grad.reshape(a.data.shape))
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g.reshape(a.data.shape))
 
-    out = Tensor._node(a.data.reshape(shape).copy(), (a,), "reshape", backward)
-    return out
+    return Tensor._node(a.data.reshape(shape).copy(), (a,), "reshape", backward)
 
 
 def tsum(a: Tensor) -> Tensor:
-    def backward() -> None:
-        _accumulate(a, np.full_like(a.data, out.grad))
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, np.full_like(a.data, g))
 
-    out = Tensor._node(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), "sum", backward)
-    return out
+    return Tensor._node(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), "sum", backward)
 
 
 # -- slicing / stitching -------------------------------------------------------
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         full = np.zeros_like(a.data)
-        full[start:stop] = out.grad
+        full[start:stop] = g
         _accumulate(a, full)
 
-    out = Tensor._node(a.data[start:stop].copy(), (a,), "slice_rows", backward)
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    def backward() -> None:
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = out.grad
-        _accumulate(a, full)
-
-    out = Tensor._node(a.data[:, start:stop].copy(), (a,), "slice_cols", backward)
-    return out
+    return Tensor._node(a.data[start:stop].copy(), (a,), "slice_rows", backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     widths = [p.data.shape[1] for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=1)
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         off = 0
         for p, w in zip(parts, widths):
-            _accumulate(p, out.grad[:, off:off + w])
+            _accumulate(p, g[:, off:off + w])
             off += w
 
-    out = Tensor._node(out_data, tuple(parts), "concat_cols", backward)
-    return out
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    heights = [p.data.shape[0] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-
-    def backward() -> None:
-        off = 0
-        for p, h in zip(parts, heights):
-            _accumulate(p, out.grad[off:off + h])
-            off += h
-
-    out = Tensor._node(out_data, tuple(parts), "concat_rows", backward)
-    return out
-
-
-def tile_rows(a: Tensor, n: int) -> Tensor:
-    """Repeat a [1, d] row n times; gradient sums back over the copies."""
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise ShapeError(f"tile_rows: expected [1, d], got shape {a.data.shape}")
-
-    def backward() -> None:
-        _accumulate(a, out.grad.sum(axis=0, keepdims=True))
-
-    out = Tensor._node(np.repeat(a.data, n, axis=0), (a,), "tile_rows", backward)
-    return out
+    return Tensor._node(out_data, tuple(parts), "concat_cols", backward)
 
 
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -274,13 +229,12 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise IndexError(
             f"embedding: id out of range for table of {table.data.shape[0]} rows")
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         full = np.zeros_like(table.data)
-        np.add.at(full, idx, out.grad)
+        np.add.at(full, idx, g)
         _accumulate(table, full)
 
-    out = Tensor._node(table.data[idx].copy(), (table,), "embedding", backward)
-    return out
+    return Tensor._node(table.data[idx].copy(), (table,), "embedding", backward)
 
 
 # -- nonlinearities and losses ---------------------------------------------------
@@ -294,13 +248,54 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def backward() -> None:
-        g = out.grad
+    def backward(g: np.ndarray) -> None:
         dot = (g * s).sum(axis=axis, keepdims=True)
         _accumulate(x, (g - dot) * s)
 
-    out = Tensor._node(s, (x,), "softmax", backward)
-    return out
+    return Tensor._node(s, (x,), "softmax", backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(d_head) + mask) v over [B*T, d] rows.
+
+    Head h reads columns h*d_head:(h+1)*d_head of q, k and v and writes the
+    same columns of the output. `mask` is additive, [B or 1, T or 1, T],
+    and broadcast over the heads; with no mask the rows are one sequence.
+    """
+    n, d = q.data.shape
+    t = n if mask is None else mask.shape[-1]
+    if (k.data.shape != (n, d) or v.data.shape != (n, d) or d % n_heads or n % t
+            or (mask is not None and mask.ndim != 3)):
+        raise ShapeError(f"attention: q, k, v {q.data.shape}, {k.data.shape}, {v.data.shape}, "
+                         f"{n_heads} heads, mask {None if mask is None else mask.shape}")
+    b, d_head = n // t, d // n_heads
+    c = 1.0 / math.sqrt(d_head)
+
+    def split(x: np.ndarray) -> np.ndarray:  # [B*T, d] -> [B, H, T, d_head]
+        return x.reshape(b, t, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # [B, H, T, d_head] -> [B*T, d]
+        return x.transpose(0, 2, 1, 3).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    if mask is not None:
+        scores += mask[:, None]
+    if not np.all(np.isfinite(scores) | np.isneginf(scores)):
+        raise NumericError("attention: scores contain nan or +inf")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        gh = split(g)
+        ds = gh @ vh.transpose(0, 1, 3, 2)
+        ds = (ds - (ds * s).sum(axis=-1, keepdims=True)) * s * c
+        _accumulate(q, merge(ds @ kh))
+        _accumulate(k, merge(ds.transpose(0, 1, 3, 2) @ qh))
+        _accumulate(v, merge(s.transpose(0, 1, 3, 2) @ gh))
+
+    return Tensor._node(merge(s @ vh), (q, k, v), "attention", backward)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -310,13 +305,12 @@ def gelu(x: Tensor) -> Tensor:
     t = np.tanh(inner)
     out_data = 0.5 * d * (1.0 + t)
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         sech2 = 1.0 - t * t
         deriv = 0.5 * (1.0 + t) + 0.5 * d * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * d ** 2)
-        _accumulate(x, out.grad * deriv)
+        _accumulate(x, g * deriv)
 
-    out = Tensor._node(out_data.astype(d.dtype), (x,), "gelu", backward)
-    return out
+    return Tensor._node(out_data.astype(d.dtype), (x,), "gelu", backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -330,8 +324,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = (d - mu) * inv
     out_data = xhat * gain.data + bias.data
 
-    def backward() -> None:
-        g = out.grad
+    def backward(g: np.ndarray) -> None:
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -340,8 +333,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accumulate(gain, (g * xhat).sum(axis=axes) if axes else g * xhat)
         _accumulate(bias, g.sum(axis=axes) if axes else g)
 
-    out = Tensor._node(out_data.astype(d.dtype), (x, gain, bias), "layer_norm", backward)
-    return out
+    return Tensor._node(out_data.astype(d.dtype), (x, gain, bias), "layer_norm", backward)
 
 
 def token_nll(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -351,34 +343,39 @@ def token_nll(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - z[np.arange(len(z)), targets]
 
 
-def cross_entropy_mean(logits: Tensor, targets: Sequence[int],
+def cross_entropy_mean(logits: Tensor, targets,
                        ignore_id: int | None = None) -> Tensor:
-    """Mean of -log softmax(logits)[target] over positions not equal to ignore_id."""
+    """Mean of -log softmax(logits)[target] over positions not equal to ignore_id.
+
+    `targets` is [N] for N logit rows, or [B, T] for B sequences of T rows
+    each: then the loss is the mean over sequences of each sequence's mean.
+    """
+    z = logits.data
+    n, c = z.shape
     tgt = np.asarray(targets, dtype=np.int64)
-    n, c = logits.data.shape
-    if tgt.shape != (n,):
+    if tgt.ndim not in (1, 2) or tgt.size != n:
         raise ShapeError(f"cross_entropy: {n} logit rows but targets shape {tgt.shape}")
-    keep = np.ones(n, dtype=bool) if ignore_id is None else tgt != ignore_id
-    if not keep.any():
-        raise ValueError("cross_entropy: every position carries the ignore id")
+    tgt = tgt.reshape(1, n) if tgt.ndim == 1 else tgt
+    keep = np.ones(tgt.shape, dtype=bool) if ignore_id is None else tgt != ignore_id
+    counts = keep.sum(axis=1)
+    if not counts.all():
+        raise ValueError("cross_entropy: every position of a sequence carries the ignore id")
     kept = tgt[keep]
     if kept.min() < 0 or kept.max() >= c:
         raise IndexError(f"cross_entropy: target id out of range [0, {c})")
 
-    z = logits.data
-    n_kept = int(keep.sum())
-    loss = token_nll(z, np.clip(tgt, 0, c - 1))[keep].mean()
+    flat = np.clip(tgt, 0, c - 1).reshape(n)
+    nll = token_nll(z, flat).reshape(tgt.shape)
+    loss = ((nll * keep).sum(axis=1) / counts).mean()
+    weight = (keep / (counts[:, None] * len(counts))).reshape(n, 1)
 
-    def backward() -> None:
-        g = float(out.grad)
+    def backward(g: np.ndarray) -> None:
         soft = np.exp(z - z.max(axis=-1, keepdims=True))
         soft /= soft.sum(axis=-1, keepdims=True)
-        soft[np.arange(n)[keep], kept] -= 1.0
-        soft[~keep] = 0.0
-        _accumulate(logits, soft * (g / n_kept))
+        soft[np.arange(n), flat] -= 1.0
+        _accumulate(logits, soft * (weight * float(g)).astype(z.dtype))
 
-    out = Tensor._node(np.asarray(loss, dtype=z.dtype), (logits,), "cross_entropy", backward)
-    return out
+    return Tensor._node(np.asarray(loss, dtype=z.dtype), (logits,), "cross_entropy", backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -389,11 +386,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError("dropout needs an explicit rng for reproducibility")
     mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
 
-    def backward() -> None:
-        _accumulate(x, out.grad * mask)
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * mask)
 
-    out = Tensor._node(x.data * mask, (x,), "dropout", backward)
-    return out
+    return Tensor._node(x.data * mask, (x,), "dropout", backward)
 
 
 # -- gradient checking -----------------------------------------------------------

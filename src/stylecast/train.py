@@ -3,6 +3,8 @@
 Both trainers run one loop, `_fit`: deterministic shuffle/split, batch
 loss graph, backward, global-norm clip, SGD or AdamW step, per-epoch
 validation metrics, best-checkpoint retention, optional early stop.
+A training batch is one forward over its [PAD]-right-padded ids; the
+evaluators run one forward per EVAL_BATCH sequences.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import numpy as np
 from . import text
 from .model import ModelConfig, clf_forward, lm_forward
 from .style import CorpusStats, StyleSpec
-from .tensor import (
-    Tensor, add, concat_rows, cross_entropy_mean, reshape, scale, slice_rows, token_nll,
-)
+from .tensor import Tensor, cross_entropy_mean, token_nll
 from .text import split_shuffled
+
+# Sequences per forward in evaluate_lm, evaluate_accuracy and latent
+# extraction: a whole held-out set at LINE_LEN would not fit in memory.
+EVAL_BATCH = 16
 
 
 class TrainError(ValueError):
@@ -172,24 +176,39 @@ def perplexity(mean_loss: float) -> float:
     return math.exp(mean_loss)
 
 
+def _pad_batch(id_lists) -> np.ndarray:
+    """Right-pad id sequences with [PAD] into one [B, T] array."""
+    t = max(len(ids) for ids in id_lists)
+    return np.array([list(ids) + [text.PAD] * (t - len(ids)) for ids in id_lists],
+                    dtype=np.int64)
+
+
+def _constant(params: dict[str, Tensor], live=()) -> dict[str, Tensor]:
+    """Params as constants, except the names in `live`: a forward builds no graph through them."""
+    return {k: v if k in live else Tensor(v.data) for k, v in params.items()}
+
+
 # -- language model ---------------------------------------------------------------
+
+
+def _lm_batch(params: dict[str, Tensor], config: ModelConfig, batch: list[LmSample],
+              stats: CorpusStats | None, train: bool = False,
+              rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
+    """Logits [B*T, V] of the padded batch, and next-token targets [B, T] ([PAD] at the end)."""
+    ids = _pad_batch([s.ids for s in batch])
+    targets = np.full_like(ids, text.PAD)
+    targets[:, :-1] = ids[:, 1:]
+    logits = lm_forward(params, config, ids, [s.spec for s in batch], stats,
+                        train=train, rng=rng)
+    return logits, targets
 
 
 def lm_batch_loss(params: dict[str, Tensor], config: ModelConfig,
                   batch: list[LmSample], stats: CorpusStats | None,
                   train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Mean over the batch of per-sequence next-token cross-entropy, pads ignored."""
-    losses = []
-    for sample in batch:
-        t = len(sample.ids)
-        logits = lm_forward(params, config, sample.ids, sample.spec, stats,
-                            train=train, rng=rng)
-        losses.append(cross_entropy_mean(slice_rows(logits, 0, t - 1),
-                                         sample.ids[1:], ignore_id=text.PAD))
-    total = losses[0]
-    for extra in losses[1:]:
-        total = add(total, extra)
-    return scale(total, 1.0 / len(losses))
+    logits, targets = _lm_batch(params, config, batch, stats, train, rng)
+    return cross_entropy_mean(logits, targets, ignore_id=text.PAD)
 
 
 def evaluate_lm(params: dict[str, Tensor], config: ModelConfig,
@@ -197,15 +216,12 @@ def evaluate_lm(params: dict[str, Tensor], config: ModelConfig,
     """Per-token mean loss over all non-pad targets, and its perplexity."""
     if not samples:
         raise TrainError("evaluate_lm: empty sample set")
-    total = 0.0
-    count = 0
-    for sample in samples:
-        logits = lm_forward(params, config, sample.ids, sample.spec, stats).data
-        tgt = np.asarray(sample.ids[1:], dtype=np.int64)
-        keep = tgt != text.PAD
-        if not keep.any():
-            continue
-        per = token_nll(logits[:-1].astype(np.float64), tgt)
+    view = _constant(params)
+    total, count = 0.0, 0
+    for lo in range(0, len(samples), EVAL_BATCH):
+        logits, targets = _lm_batch(view, config, samples[lo:lo + EVAL_BATCH], stats)
+        keep = (targets != text.PAD).reshape(-1)
+        per = token_nll(logits.data.astype(np.float64), targets.reshape(-1))
         total += float(per[keep].sum())
         count += int(keep.sum())
     if count == 0:
@@ -313,9 +329,9 @@ def train_lm(samples: list[LmSample], params: dict[str, Tensor], config: ModelCo
 def clf_batch_loss(params: dict[str, Tensor], config: ModelConfig,
                    batch: list[ClfSample], train: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
-    rows = [reshape(clf_forward(params, config, s.ids, train=train, rng=rng),
-                    (1, config.n_sections)) for s in batch]
-    return cross_entropy_mean(concat_rows(rows), [s.label for s in batch])
+    logits = clf_forward(params, config, _pad_batch([s.ids for s in batch]),
+                         train=train, rng=rng)
+    return cross_entropy_mean(logits, [s.label for s in batch])
 
 
 def evaluate_accuracy(params: dict[str, Tensor], config: ModelConfig,
@@ -323,14 +339,14 @@ def evaluate_accuracy(params: dict[str, Tensor], config: ModelConfig,
     """Argmax accuracy plus an S x S confusion matrix (rows = true label)."""
     if not samples:
         raise TrainError("evaluate_accuracy: empty sample set")
+    view = _constant(params)
+    ids = _pad_batch([s.ids for s in samples])
+    preds = np.concatenate([np.argmax(clf_forward(view, config, ids[lo:lo + EVAL_BATCH]).data, 1)
+                            for lo in range(0, len(ids), EVAL_BATCH)])
+    labels = np.array([s.label for s in samples], dtype=np.int64)
     s = config.n_sections
-    confusion = np.zeros((s, s), dtype=np.int64)
-    correct = 0
-    for sample in samples:
-        pred = int(np.argmax(clf_forward(params, config, sample.ids).data))
-        confusion[sample.label, pred] += 1
-        correct += int(pred == sample.label)
-    return correct / len(samples), confusion
+    confusion = np.bincount(labels * s + preds, minlength=s * s).reshape(s, s)
+    return int((preds == labels).sum()) / len(samples), confusion
 
 
 def fine_tune_classifier(samples: list[ClfSample], params: dict[str, Tensor],
@@ -343,11 +359,13 @@ def fine_tune_classifier(samples: list[ClfSample], params: dict[str, Tensor],
     rng = np.random.default_rng(cfg.seed)
     trainable = ({k: v for k, v in params.items() if k.startswith("head.")}
                  if freeze_backbone else params)
+    # Params outside `trainable` run as constants: a frozen backbone builds no graph.
+    forward_params = _constant(params, trainable)
 
     def validate(val: list[ClfSample]):
         acc, _ = evaluate_accuracy(params, config, val)
         return acc, [("accuracy", acc)]
 
     return _fit(train_set, val_set, params, cfg,
-                lambda batch: clf_batch_loss(params, config, batch, train=True, rng=rng),
+                lambda batch: clf_batch_loss(forward_params, config, batch, train=True, rng=rng),
                 validate, trainable, rng)

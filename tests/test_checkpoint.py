@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stylecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from stylecast.model import ModelConfig, init_params
+from stylecast.model import ModelConfig, init_params, param_shapes
+from stylecast.tensor import Tensor
 
 
 def desk(head_type="lm"):
@@ -68,6 +69,36 @@ class TestCorruption:
         p.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(p)
+
+
+class TestTensorsAgainstConfig:
+    """Every tensor's name and shape must match what the header's config declares."""
+
+    @pytest.mark.parametrize("tamper", ["missing", "extra", "misshaped"])
+    def test_tampered_tensors_rejected(self, tmp_path, tamper):
+        cfg = desk()
+        params = init_params(cfg, seed=9)
+        if tamper == "missing":
+            del params["layer1.ffn.b2"]
+        elif tamper == "extra":
+            params["layer9.attn.wq"] = params["layer0.attn.wq"]
+        else:
+            params["pos_emb"] = Tensor(np.zeros((cfg.max_seq + 1, cfg.token_dim), np.float32))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(params, cfg, p)
+        with pytest.raises(CheckpointError, match="do not match the model config") as err:
+            load_checkpoint(p)
+        name = {"missing": "layer1.ffn.b2 missing vs (64,)",
+                "extra": "layer9.attn.wq (64, 64) vs not in config",
+                "misshaped": "pos_emb (65, 64) vs (64, 64)"}[tamper]
+        assert name in str(err.value)
+
+    def test_shapes_follow_the_config(self):
+        cfg = ModelConfig.desk_scale(vocab_size=30, style_mode="learned10")
+        shapes = param_shapes(cfg)
+        assert list(shapes) == list(init_params(cfg))
+        assert shapes["tok_emb"] == (30, 54) and shapes["style.w1"] == (5, 32)
+        assert {k: v.data.shape for k, v in init_params(cfg).items()} == shapes
 
 
 class TestHeadMismatch:

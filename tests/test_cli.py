@@ -241,6 +241,19 @@ class TestPipeline:
         assert code == 0
         assert (root / "out" / "clf2.ckpt").exists()
 
+    def test_12b_tampered_checkpoint_is_data_error(self, workdir, capsys):
+        from stylecast.checkpoint import load_checkpoint, save_checkpoint
+
+        root, cfg = workdir
+        ck = load_checkpoint(root / "out" / "clf.ckpt")
+        del ck.params["layer0.ln2.g"]
+        tampered = root / "out" / "tampered.ckpt"
+        save_checkpoint(ck.params, ck.config, tampered, ck.meta)
+        code = dispatch(["classify", "--config", str(cfg), "--title", "abba",
+                         "--set", f"checkpoint={tampered}"])
+        assert code == 2
+        assert "layer0.ln2.g" in capsys.readouterr().err
+
     def test_12_vocab_mismatch_is_data_error(self, workdir, capsys):
         root, cfg = workdir
         other = root / "other-vocab.tsv"

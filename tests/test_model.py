@@ -5,12 +5,13 @@ import pytest
 
 from stylecast import text
 from stylecast.model import (
-    ConfigError, ModelConfig, attention_head, causal_mask, clf_forward,
-    convert_to_classifier, encoder_block, extract_latent, init_params,
-    lm_forward, pad_mask,
+    ConfigError, ModelConfig, causal_mask, clf_forward, convert_to_classifier,
+    encoder_block, extract_latent, init_params, lm_forward, pad_mask,
 )
 from stylecast.style import CorpusStats, StyleSpec
-from stylecast.tensor import Tensor, cross_entropy_mean, grad_check, matmul, slice_rows, tsum
+from stylecast.tensor import (
+    Tensor, attention, cross_entropy_mean, grad_check, matmul, slice_rows, tsum,
+)
 
 STATS = CorpusStats(n_sections=4, t_min=0, t_max=100)
 
@@ -64,10 +65,12 @@ class TestCausalMask:
 
 
 class TestAttentionHead:
+    """One head of tensor.attention, on projections computed here."""
+
     def test_single_token_returns_its_value(self):
         x = rand((1, 8), seed=1)
         wq, wk, wv = rand((8, 4), 2), rand((8, 4), 3), rand((8, 4), 4)
-        out = attention_head(x, wq, wk, wv)
+        out = attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), 1)
         assert np.allclose(out.data, matmul(x, wv).data, atol=1e-6)
 
     def test_identical_keys_split_attention_evenly(self):
@@ -75,20 +78,25 @@ class TestAttentionHead:
         wk = Tensor(np.zeros((2, 2), dtype=np.float32))  # all keys identical
         wq = rand((2, 2), 5)
         wv = rand((2, 2), 6)
-        out = attention_head(x, wq, wk, wv)
+        out = attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), 1)
         v = matmul(x, wv).data
         assert np.allclose(out.data, 0.5 * (v[0] + v[1]), atol=1e-6)
 
     def test_causal_first_row_is_v0(self):
         x = rand((3, 6), seed=7)
         wq, wk, wv = rand((6, 3), 8), rand((6, 3), 9), rand((6, 3), 10)
-        out = attention_head(x, wq, wk, wv, causal_mask(3))
+
+        def head(inp):
+            return attention(matmul(inp, wq), matmul(inp, wk), matmul(inp, wv), 1,
+                             causal_mask(3)[None])
+
+        out = head(x)
         v = matmul(x, wv).data
         assert np.allclose(out.data[0], v[0], atol=1e-6)
         # and it ignores token 1 entirely
         x2 = Tensor(x.data.copy())
         x2.data[1] += 10.0
-        out2 = attention_head(x2, wq, wk, wv, causal_mask(3))
+        out2 = head(x2)
         assert np.array_equal(out.data[0], out2.data[0])
 
 
@@ -107,8 +115,13 @@ class TestEncoderBlock:
         cfg = desk_config()
         params = init_params(cfg, seed=1)
         x = rand((7, 64), seed=12)
-        out = encoder_block(x, params, "layer1.", cfg.n_heads, causal_mask(7))
+        out = encoder_block(x, params, "layer1.", cfg.n_heads, causal_mask(7)[None])
         assert out.data.shape == (7, 64)
+        # two sequences of 7 rows: 14 rows out, the first 7 as if alone
+        x2 = Tensor(np.concatenate([x.data, x.data[::-1]]))
+        both = encoder_block(x2, params, "layer1.", cfg.n_heads, causal_mask(7)[None])
+        assert both.data.shape == (14, 64)
+        assert np.allclose(both.data[:7], out.data, atol=1e-6)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -133,7 +146,7 @@ class TestEncoderBlock:
                 arrays.append(np.zeros(d))
         x = rng.standard_normal((4, d)) * 0.5
         arrays.append(x)
-        mask = causal_mask(4)
+        mask = causal_mask(4)[None]
 
         def f(leaves):
             params = {f"b.{n}": t for n, t in zip(names, leaves[:-1])}
@@ -153,7 +166,7 @@ class TestEncoderBlock:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((6, 64)).astype(np.float32) * 0.5
         arrays.append(x)
-        mask = causal_mask(6)
+        mask = causal_mask(6)[None]
 
         def f(leaves):
             p = dict(zip(names, leaves[:-1]))
@@ -283,10 +296,11 @@ class TestClassifier:
                               extract_latent(params, cfg, ids).data)
 
     def test_pad_mask_shape(self):
-        m = pad_mask([1, 6, text.PAD, text.PAD])
-        assert m.shape == (4, 4)
-        assert np.all(np.isneginf(m[:, 2:])) and np.all(np.isfinite(m[:, :2]))
-        assert pad_mask([1, 6, 7]) is None
+        m = pad_mask(np.array([[1, 6, text.PAD, text.PAD], [1, 6, 7, text.PAD]]))
+        assert m.shape == (2, 1, 4)
+        assert np.all(np.isneginf(m[0, :, 2:])) and np.all(np.isfinite(m[0, :, :2]))
+        assert np.all(np.isneginf(m[1, :, 3:])) and np.all(np.isfinite(m[1, :, :3]))
+        assert np.all(pad_mask(np.array([[1, 6, 7]])) == 0.0)
 
 
 class TestHeadSwap:

@@ -7,11 +7,12 @@ from stylecast.model import ModelConfig, init_params
 from stylecast.tensor import Tensor, add, mul, tsum
 from stylecast.text import build_vocab, split_shuffled
 from stylecast.train import (
-    AdamWState, TrainConfig, TrainError, adamw_step, clf_samples_from_articles,
+    AdamWState, TrainConfig, TrainError, adamw_step, clf_batch_loss, clf_samples_from_articles,
     clip_gradients, corpus_stats, evaluate_accuracy, evaluate_lm, fine_tune_classifier,
     lm_batch_loss, lm_samples_from_articles, perplexity, sgd_step, train_lm,
     zero_gradients,
 )
+from stylecast.train import _constant as train_constant
 from tests.conftest import make_articles, make_regular_articles
 
 
@@ -386,3 +387,47 @@ class TestEpochLoop:
             head = name.startswith("head.")
             assert np.array_equal(best[name].data, before[name]) != head, name
             assert np.array_equal(params[name].data, before[name]) != head, name
+
+    def test_frozen_backbone_loss_graph_holds_only_the_head(self, loop_setup, monkeypatch):
+        import stylecast.train as train_mod
+
+        _, _, cfg, samples = loop_setup
+        params = init_params(cfg, seed=0)
+        head = {id(params["head.w"]), id(params["head.b"])}
+        graphs = []
+        real = train_mod.clf_batch_loss
+
+        def recording(*args, **kwargs):
+            loss = real(*args, **kwargs)
+            ops, leaves, stack, seen = set(), set(), [loss], set()
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    ops.add(t._op)
+                    leaves |= {id(t)} if t.requires_grad else set()
+                    stack.extend(t._parents)
+            graphs.append((ops, leaves))
+            return loss
+
+        monkeypatch.setattr(train_mod, "clf_batch_loss", recording)
+        tc = TrainConfig(learning_rate=1e-1, batch_size=4, epochs=1, seed=0,
+                         early_stop_patience=None)
+        fine_tune_classifier(samples, params, cfg, tc, freeze_backbone=True)
+        assert graphs
+        for ops, leaves in graphs:
+            assert ops == {"cross_entropy", "add", "matmul", ""} and leaves == head
+
+    def test_frozen_backbone_head_gradients_equal_the_full_graph(self, loop_setup):
+        _, _, cfg, samples = loop_setup
+        params = init_params(cfg, seed=1, zero_head=False)
+        cfg = ModelConfig(**{**cfg.to_dict(), "dropout_rate": 0.2})
+        head = {k: v for k, v in params.items() if k.startswith("head.")}
+        grads = []
+        for view in (params, train_constant(params, head)):
+            zero_gradients(params)
+            clf_batch_loss(view, cfg, samples[:6], train=True,
+                           rng=np.random.default_rng(3)).backward()
+            grads.append({k: v.grad for k, v in head.items()})
+        for k in head:
+            assert np.array_equal(grads[0][k], grads[1][k]), k

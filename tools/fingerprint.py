@@ -98,8 +98,9 @@ def language_model(arts):
         print("eval", mode, repr(train.evaluate_lm(params, cfg, samples, st)))
         loss = train.lm_batch_loss(params, cfg, samples[:8], st, train=True,
                                    rng=np.random.default_rng(0))
+        size = nodes(loss)  # before backward, which unlinks the graph it consumes
         loss.backward()
-        print("batch", mode, repr(loss.item()), nodes(loss),
+        print("batch", mode, repr(loss.item()), size,
               h({k: v.grad for k, v in params.items()}))
         spec = StyleSpec(1, arts[3].release_time) if mode != "none" else None
         print("logits", mode, h({"l": model.lm_forward(params, cfg, samples[0].ids, spec,
@@ -137,8 +138,9 @@ def classifier(arts):
     print("latent", h({"l": model.extract_latent(params, cfg, samples[0].ids).data}))
     loss = train.clf_batch_loss(params, cfg, samples[:6], train=True,
                                 rng=np.random.default_rng(1))
+    size = nodes(loss)
     loss.backward()
-    print("clf_batch", repr(loss.item()), nodes(loss),
+    print("clf_batch", repr(loss.item()), size,
           h({k: v.grad for k, v in params.items()}))
     for ids in ([], [0] * 3, [1] * 20):
         show_error("clf", model.clf_forward, params, cfg, ids)
