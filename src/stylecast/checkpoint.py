@@ -80,8 +80,14 @@ def load_checkpoint(path: str | Path, expect_head: str | None = None) -> Checkpo
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{p}: unsupported checkpoint version {version}")
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
-    config = ModelConfig.from_dict(header["model"])
+    try:
+        header = json.loads(r.take(r.u32()).decode("utf-8"))
+        config = ModelConfig.from_dict(header["model"])
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{p}: unreadable checkpoint header: {exc!r}") from None
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{p}: checkpoint header meta is not a JSON object")
     params: dict[str, Tensor] = {}
     while not r.exhausted:
         name = r.take(r.u32()).decode("utf-8")
@@ -103,4 +109,4 @@ def load_checkpoint(path: str | Path, expect_head: str | None = None) -> Checkpo
         raise CheckpointError(
             f"{p}: checkpoint head is {config.head_type} with shape {tuple(have)}, "
             f"but a {expect_head} head of shape ({config.d_model}, {want_width}) was expected")
-    return Checkpoint(params=params, config=config, meta=header.get("meta", {}))
+    return Checkpoint(params=params, config=config, meta=meta)

@@ -124,7 +124,8 @@ def _read_corpus(cfg: RunConfig) -> list:
 
 
 def _vocab_path(cfg: RunConfig) -> Path:
-    return Path(cfg.vocab) if cfg.vocab else _out_dir(cfg) / "vocab.tsv"
+    """The one place a run's vocab lives: the `vocab` key, else `out_dir/vocab.tsv`."""
+    return Path(cfg.vocab) if cfg.vocab else Path(cfg.out_dir) / "vocab.tsv"
 
 
 def _load_or_build_vocab(cfg: RunConfig, articles) -> Vocab:
@@ -132,13 +133,18 @@ def _load_or_build_vocab(cfg: RunConfig, articles) -> Vocab:
     if path.exists():
         return Vocab.load(path)
     vocab = build_vocab(articles)
+    path.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(path)
     print(f"vocab written: {path} ({vocab.size} ids)", file=sys.stderr)
     return vocab
 
 
 def _parse_time(value: str) -> int:
-    dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    try:
+        dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    except ValueError:
+        raise ConfigValidationError(
+            [f"--time: expected an ISO-8601 timestamp, got {value!r}"]) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -156,29 +162,52 @@ def _section_id(value: str, names: list[str]) -> int:
     return sid
 
 
-def _stats_from_meta(meta: dict, n_sections: int) -> CorpusStats | None:
-    if "t_min" in meta and "t_max" in meta:
-        return CorpusStats(n_sections=n_sections, t_min=int(meta["t_min"]),
-                           t_max=int(meta["t_max"]))
-    return None
+def _open_run(cfg: RunConfig, head: str | None, key: str = "checkpoint"):
+    """(checkpoint, vocab, section names, style range, split) of the run at config `key`.
 
-
-def _check_vocab(ckpt, vocab: Vocab) -> None:
+    The vocab is only read, never built, and must be the one the run was trained with.
+    Names, style range and the (ratio, seed) split come from meta when present.
+    """
+    vocab_path = _vocab_path(cfg)
+    if not vocab_path.exists():
+        raise ConfigValidationError([f"vocab: path does not exist: {vocab_path}"])
+    vocab = Vocab.load(vocab_path)
+    require_paths(cfg, key)
+    ckpt = load_checkpoint(cfg.values[key], expect_head=head)
     if ckpt.config.vocab_size != vocab.size:
         raise CheckpointError(
             f"checkpoint vocab size {ckpt.config.vocab_size} != vocab file {vocab.size}")
+    meta = ckpt.meta
+    trained_with = meta.get("vocab_sha256")
+    if trained_with is not None and trained_with != vocab.sha256():
+        raise CheckpointError(f"{cfg.values[key]} was trained with another vocab than "
+                              f"{vocab_path} (sha256 differs)")
+    stats = (CorpusStats(ckpt.config.n_sections, int(meta["t_min"]), int(meta["t_max"]))
+             if "t_min" in meta and "t_max" in meta else None)
+    split = (meta.get("split_ratio", cfg.split_ratio), meta.get("split_seed", cfg.seed))
+    return ckpt, vocab, meta.get("section_names", cfg.section_names), stats, split
+
+
+def _samples(model_cfg, articles, vocab) -> list:
+    """The training samples of `articles` for the model's head, in corpus order."""
+    if model_cfg.head_type == "lm":
+        return lm_samples_from_articles(articles, vocab, model_cfg.max_seq,
+                                        styled=model_cfg.style_mode != "none")
+    return clf_samples_from_articles(articles, vocab, model_cfg.max_seq)
 
 
 def _save_run(cfg: RunConfig, command: str, default_ckpt: str, params, model_cfg,
-              log, meta: dict) -> None:
+              vocab: Vocab, log, meta: dict) -> None:
     """Checkpoint and metrics CSV of a training subcommand, with their paths printed."""
     if _verbose():
         for epoch, split, metric, value in log.rows:
             print(f"epoch {epoch} {split} {metric}={value:.6g}", file=sys.stderr)
     out = _out_dir(cfg)
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / default_ckpt
-    save_checkpoint(params, model_cfg, ckpt, {"config_hash": cfg.hash(), **meta,
-                                              "section_names": cfg.section_names})
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(params, model_cfg, ckpt, {
+        "config_hash": cfg.hash(), **meta, "section_names": cfg.section_names,
+        "vocab_sha256": vocab.sha256(), "split_ratio": cfg.split_ratio, "split_seed": cfg.seed})
     metrics = out / f"{command}-metrics.csv"
     atomic_write_text(metrics, log.to_csv(cfg.hash()))
     print(f"checkpoint: {ckpt}")
@@ -193,6 +222,7 @@ def _cmd_ingest(args) -> int:
     articles = _read_corpus(cfg)
     vocab = build_vocab(articles)
     path = _vocab_path(cfg)
+    path.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(path)
     labels = sorted({a.label for a in articles})
     print(f"articles: {len(articles)}")
@@ -207,11 +237,10 @@ def _cmd_train_gen(args) -> int:
     vocab = _load_or_build_vocab(cfg, articles)
     stats = corpus_stats(articles, cfg.n_sections)
     model_cfg = cfg.model_config(vocab.size, "lm")
-    styled = model_cfg.style_mode != "none"
-    samples = lm_samples_from_articles(articles, vocab, model_cfg.max_seq, styled=styled)
     params = init_params(model_cfg, seed=cfg.seed)
-    best, log = train_lm(samples, params, model_cfg, cfg.train_config(), stats)
-    _save_run(cfg, "train-gen", "lm.ckpt", best, model_cfg, log,
+    best, log = train_lm(_samples(model_cfg, articles, vocab), params, model_cfg,
+                         cfg.train_config(), stats)
+    _save_run(cfg, "train-gen", "lm.ckpt", best, model_cfg, vocab, log,
               {"t_min": stats.t_min, "t_max": stats.t_max})
     val_loss = log.series("val", "loss")[-1]
     val_ppl = log.series("val", "perplexity")[-1]
@@ -225,17 +254,14 @@ def _cmd_train_clf(args) -> int:
     vocab = _load_or_build_vocab(cfg, articles)
     model_cfg = cfg.model_config(vocab.size, "classifier")
     if cfg.init_from:
-        require_paths(cfg, "init_from")
-        base = load_checkpoint(cfg.init_from, expect_head="lm")
-        _check_vocab(base, vocab)
+        base = _open_run(cfg, "lm", key="init_from")[0]
         params, model_cfg = convert_to_classifier(base.params, base.config,
                                                   cfg.n_sections, cfg.title_len)
     else:
         params = init_params(model_cfg, seed=cfg.seed)
-    samples = clf_samples_from_articles(articles, vocab, model_cfg.max_seq)
-    best, log = fine_tune_classifier(samples, params, model_cfg, cfg.train_config(),
-                                     freeze_backbone=cfg.freeze_backbone)
-    _save_run(cfg, "train-clf", "clf.ckpt", best, model_cfg, log, {})
+    best, log = fine_tune_classifier(_samples(model_cfg, articles, vocab), params, model_cfg,
+                                     cfg.train_config(), freeze_backbone=cfg.freeze_backbone)
+    _save_run(cfg, "train-clf", "clf.ckpt", best, model_cfg, vocab, log, {})
     print(f"val_accuracy={log.series('val', 'accuracy')[-1]:.4f}")
     return 0
 
@@ -245,13 +271,8 @@ def _cmd_generate(args) -> int:
              "top_k": args.top_k, "sample_seed": args.seed}
     cfg = load_config(args.config, {**_parse_overrides(args.set),
                                     **{k: v for k, v in flags.items() if v is not None}})
-    require_paths(cfg, "checkpoint", "vocab")
-    ckpt = load_checkpoint(cfg.checkpoint, expect_head="lm")
-    vocab = Vocab.load(cfg.vocab)
-    _check_vocab(ckpt, vocab)
-    names = ckpt.meta.get("section_names", cfg.section_names)
+    ckpt, vocab, names, stats, _ = _open_run(cfg, "lm")
     spec = None
-    stats = _stats_from_meta(ckpt.meta, ckpt.config.n_sections)
     if ckpt.config.style_mode != "none":
         if stats is None:
             raise CheckpointError("checkpoint lacks the corpus time range needed for style")
@@ -265,11 +286,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = _load(args)
-    require_paths(cfg, "checkpoint", "vocab")
-    ckpt = load_checkpoint(cfg.checkpoint, expect_head="classifier")
-    vocab = Vocab.load(cfg.vocab)
-    _check_vocab(ckpt, vocab)
-    names = ckpt.meta.get("section_names", cfg.section_names)
+    ckpt, vocab, names, _, _ = _open_run(cfg, "classifier")
     ids = text.encode_title(args.title, vocab, ckpt.config.max_seq)
     logits = clf_forward(ckpt.params, ckpt.config, ids).data
     pred = int(np.argmax(logits))
@@ -280,13 +297,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_project(args) -> int:
     cfg = _load(args)
-    require_paths(cfg, "checkpoint")
-    articles = _read_corpus(cfg)
-    vocab = _load_or_build_vocab(cfg, articles)
-    ckpt = load_checkpoint(cfg.checkpoint, expect_head="classifier")
-    _check_vocab(ckpt, vocab)
-    if args.limit:
-        articles = articles[:args.limit]
+    if args.limit is not None and args.limit < 1:
+        raise ConfigValidationError([f"--limit: expected an integer >= 1, got {args.limit}"])
+    ckpt, vocab, names, _, _ = _open_run(cfg, "classifier")
+    articles = _read_corpus(cfg)[:args.limit]
     if len(articles) <= cfg.knn:
         raise ProjectionError(
             f"need more than knn={cfg.knn} titles to project, got {len(articles)}")
@@ -302,7 +316,6 @@ def _cmd_project(args) -> int:
     points = list(result.points)
     for phrase in args.cast:
         points.append(cast_overlay(phrase, ckpt.params, ckpt.config, vocab, result))
-    names = ckpt.meta.get("section_names", cfg.section_names)
     svg = out / "scatter.svg"
     emit_scatter_svg(points, names, svg)
     print(f"projection: n={len(result.points)} sym_edges={result.sym_edges} "
@@ -314,22 +327,14 @@ def _cmd_project(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load(args)
-    require_paths(cfg, "checkpoint")
-    articles = _read_corpus(cfg)
-    vocab = _load_or_build_vocab(cfg, articles)
-    ckpt = load_checkpoint(cfg.checkpoint)
-    _check_vocab(ckpt, vocab)
+    ckpt, vocab, _, stats, (ratio, seed) = _open_run(cfg, None)
+    samples = _samples(ckpt.config, _read_corpus(cfg), vocab)
+    _, val = text.split_shuffled(samples, ratio, seed)
     if ckpt.config.head_type == "lm":
-        stats = _stats_from_meta(ckpt.meta, ckpt.config.n_sections)
-        styled = ckpt.config.style_mode != "none"
-        samples = lm_samples_from_articles(articles, vocab, ckpt.config.max_seq, styled=styled)
-        _, val = text.split_shuffled(samples, cfg.split_ratio, cfg.seed)
         loss, ppl = evaluate_lm(ckpt.params, ckpt.config, val, stats)
         print(f"val_loss={loss:.6f}")
         print(f"val_perplexity={ppl:.4f}")
     else:
-        samples = clf_samples_from_articles(articles, vocab, ckpt.config.max_seq)
-        _, val = text.split_shuffled(samples, cfg.split_ratio, cfg.seed)
         acc, confusion = evaluate_accuracy(ckpt.params, ckpt.config, val)
         print(f"val_accuracy={acc:.4f}")
         print("confusion:")

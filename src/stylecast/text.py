@@ -7,6 +7,7 @@ specials; ordinary characters start at id 6.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -54,9 +55,16 @@ class Vocab:
     def id_of(self, ch: str) -> int:
         return self.char_to_id.get(ch, UNK)
 
-    def save(self, path: str | Path) -> None:
+    def to_text(self) -> str:
+        """The canonical file text: one `id<TAB>codepoint-hex` line per id, ascending."""
         lines = [f"{i}\t{ord(self.id_to_char[i]):x}" for i in sorted(self.id_to_char)]
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def sha256(self) -> str:
+        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
+
+    def save(self, path: str | Path) -> None:
+        atomic_write_text(path, self.to_text())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
@@ -77,6 +85,9 @@ class Vocab:
                 raise CorpusError(f"vocab file line {ln}: id {i} or character {ch!r} repeats")
             char_to_id[ch] = i
             id_to_char[i] = ch
+        top = N_SPECIALS + len(id_to_char) - 1  # ids are distinct and >= N_SPECIALS
+        if id_to_char and max(id_to_char) != top:
+            raise CorpusError(f"vocab file {path}: ids must run {N_SPECIALS}..{top} without gaps")
         return cls(char_to_id, id_to_char)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,32 @@ class TestCorruption:
         blob[4:8] = (99).to_bytes(4, "little")
         p.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("kind", ["not json", "not utf-8", "not an object", "no model",
+                                      "model lacks a key", "model has an unknown key",
+                                      "meta not an object"])
+    def test_unreadable_header(self, tmp_path, kind):
+        cfg = desk()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=6), cfg, p)
+        blob = p.read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + n])
+        model = header["model"]
+        new = {
+            "not json": b"{not json",
+            "not utf-8": b'{"model": "\xff"}',
+            "not an object": b"[1, 2]",
+            "no model": b'{"meta": {}}',
+            "model lacks a key": json.dumps(
+                {**header, "model": {k: v for k, v in model.items() if k != "n_heads"}}),
+            "model has an unknown key": json.dumps({**header, "model": {**model, "n_experts": 2}}),
+            "meta not an object": json.dumps({**header, "meta": 5}),
+        }[kind]
+        new = new.encode("utf-8") if isinstance(new, str) else new
+        p.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + n:])
+        with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(p)
 
 

@@ -1,9 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from stylecast.checkpoint import load_checkpoint, save_checkpoint
 from stylecast.cli import dispatch
+from stylecast.text import Vocab
 from tests.conftest import make_regular_articles
 
 TINY = {
@@ -263,3 +266,149 @@ class TestPipeline:
                          "--set", f"vocab={other}"])
         assert code == 2
         assert "vocab" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """An lm and a classifier trained with `vocab` unset, so it lives at out/vocab.tsv."""
+    root = tmp_path_factory.mktemp("trained")
+    arts = make_regular_articles(24, title_words=1, sub_words=1, body_words=2)
+    (root / "corpus.jsonl").write_text("\n".join(json.dumps(vars(a)) for a in arts),
+                                       encoding="utf-8")
+    cfg_path = root / "run.json"
+    cfg_path.write_text(json.dumps({**TINY, "corpus": str(root / "corpus.jsonl"),
+                                    "out_dir": str(root / "out")}), encoding="utf-8")
+    assert dispatch(["train-gen", "--config", str(cfg_path)]) == 0
+    assert dispatch(["train-clf", "--config", str(cfg_path)]) == 0
+    return root, cfg_path
+
+
+def run_cli(capsys, command, cfg, *argv, **sets):
+    """Exit code, stdout and stderr of one command under `--set key=value` overrides."""
+    capsys.readouterr()
+    pairs = [f"{k}={v}" for k, v in sets.items()]
+    code = dispatch([command, "--config", str(cfg), *argv,
+                     *[a for pair in pairs for a in ("--set", pair)]])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestOpenRun:
+    """Every command that reopens a checkpoint finds and checks its vocab one way."""
+
+    def test_vocab_found_in_out_dir(self, trained, capsys):
+        root, cfg = trained
+        assert (root / "out" / "vocab.tsv").exists()
+        code, out, err = run_cli(capsys, "generate", cfg, "--prompt", "ab", "--section", "1",
+                                 checkpoint=root / "out" / "lm.ckpt")
+        assert code == 0, err
+        assert out.startswith("ab")
+        code, out, err = run_cli(capsys, "classify", cfg, "--title", "abba",
+                                 checkpoint=root / "out" / "clf.ckpt")
+        assert code == 0, err
+        assert out.strip().split("\t")[1] in TINY["section_names"]
+
+    @pytest.mark.parametrize("command", ["project", "eval"])
+    def test_missing_vocab_is_data_error_and_not_rebuilt(self, trained, capsys, command):
+        root, cfg = trained
+        missing = root / f"{command}-vocab.tsv"
+        code, _, err = run_cli(capsys, command, cfg, vocab=missing,
+                               checkpoint=root / "out" / "clf.ckpt")
+        assert code == 2
+        assert str(missing) in err
+        assert not missing.exists()
+
+    def test_same_size_permuted_vocab_refused(self, trained, capsys):
+        root, cfg = trained
+        vocab = Vocab.load(root / "out" / "vocab.tsv")
+        ids = sorted(vocab.id_to_char)
+        chars = [vocab.id_to_char[i] for i in ids]
+        chars = chars[1:] + chars[:1]
+        permuted = Vocab(dict(zip(chars, ids)), dict(zip(ids, chars)))
+        assert permuted.size == vocab.size
+        permuted.save(root / "permuted.tsv")
+        code, _, err = run_cli(capsys, "classify", cfg, "--title", "abba",
+                               vocab=root / "permuted.tsv", checkpoint=root / "out" / "clf.ckpt")
+        assert code == 2
+        assert "vocab" in err and "permuted.tsv" in err
+
+    def test_vocab_id_gap_is_data_error(self, trained, capsys):
+        root, cfg = trained
+        lines = (root / "out" / "vocab.tsv").read_text(encoding="utf-8").splitlines()
+        first_char = lines[0].split("\t")[1]  # the first title's first character
+        gapped = root / "gapped.tsv"
+        gapped.write_text("\n".join(lines[1:] + [f"99\t{first_char}"]) + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", cfg, vocab=gapped,
+                               checkpoint=root / "out" / "lm.ckpt")
+        assert code == 2
+        assert str(gapped) in err
+
+    @pytest.mark.parametrize("ckpt", ["lm.ckpt", "clf.ckpt"])
+    def test_eval_splits_as_the_checkpoint_was_trained(self, trained, capsys, ckpt):
+        root, cfg = trained
+        path = root / "out" / ckpt
+        code, plain, err = run_cli(capsys, "eval", cfg, checkpoint=path)
+        assert code == 0, err
+        code, reseeded, err = run_cli(capsys, "eval", cfg, checkpoint=path, seed=5,
+                                      split_ratio=0.5)
+        assert code == 0, err
+        assert reseeded == plain
+
+    @pytest.mark.parametrize("ckpt", ["lm.ckpt", "clf.ckpt"])
+    def test_checkpoint_without_run_records_still_opens(self, trained, capsys, ckpt):
+        root, cfg = trained
+        old = load_checkpoint(root / "out" / ckpt)
+        for key in ("vocab_sha256", "split_ratio", "split_seed"):
+            del old.meta[key]
+        path = root / f"old-{ckpt}"
+        save_checkpoint(old.params, old.config, path, old.meta)
+        code, before, err = run_cli(capsys, "eval", cfg, checkpoint=root / "out" / ckpt)
+        assert code == 0, err
+        code, after, err = run_cli(capsys, "eval", cfg, checkpoint=path)
+        assert code == 0, err
+        assert after == before  # the config's seed and ratio are the ones it trained with
+
+    def test_unreadable_checkpoint_header_exit_2(self, trained, capsys):
+        root, cfg = trained
+        blob = (root / "out" / "clf.ckpt").read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        bad = root / "bad-header.ckpt"
+        bad.write_bytes(blob[:8] + (9).to_bytes(4, "little") + b"{not json" + blob[12 + n:])
+        code, _, err = run_cli(capsys, "classify", cfg, "--title", "abba", checkpoint=bad,
+                               vocab=root / "out" / "vocab.tsv")
+        assert code == 2
+        assert "header" in err
+
+    def test_bad_time_exit_2(self, trained, capsys):
+        root, cfg = trained
+        code, _, err = run_cli(capsys, "generate", cfg, "--prompt", "ab", "--time", "yesterday",
+                               checkpoint=root / "out" / "lm.ckpt",
+                               vocab=root / "out" / "vocab.tsv")
+        assert code == 2
+        assert "--time" in err
+
+    @pytest.mark.parametrize("limit", ["-5", "0"])
+    def test_limit_below_one_exit_2(self, trained, capsys, limit):
+        root, cfg = trained
+        code, _, err = run_cli(capsys, "project", cfg, "--limit", limit,
+                               checkpoint=root / "out" / "clf.ckpt")
+        assert code == 2
+        assert "--limit" in err
+
+
+def test_readme_config_in_a_fresh_directory(tmp_path, monkeypatch, capsys):
+    """The README's relative paths work before out/ (or a checkpoint directory) exists."""
+    monkeypatch.chdir(tmp_path)
+    arts = make_regular_articles(24, title_words=1, sub_words=1, body_words=2)
+    Path("corpus.jsonl").write_text("\n".join(json.dumps(vars(a)) for a in arts),
+                                    encoding="utf-8")
+    Path("run.json").write_text(json.dumps({**TINY, "corpus": "corpus.jsonl",
+                                            "vocab": "out/vocab.tsv", "out_dir": "out"}),
+                                encoding="utf-8")
+    assert dispatch(["ingest", "--config", "run.json"]) == 0
+    assert Path("out/vocab.tsv").exists()
+    assert dispatch(["train-gen", "--config", "run.json"]) == 0
+    assert Path("out/lm.ckpt").exists()
+    assert dispatch(["train-clf", "--config", "run.json",
+                     "--set", "checkpoint=runs/a/clf.ckpt"]) == 0
+    assert Path("runs/a/clf.ckpt").exists()

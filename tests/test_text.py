@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -186,6 +188,19 @@ class TestVocabLoad:
         p.write_text(body, encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2.*repeats"):
             Vocab.load(p)
+
+    def test_id_gap_rejected_naming_the_file(self, tmp_path):
+        p = tmp_path / "v.tsv"
+        lines = [f"{i}\t{0x41 + i:x}" for i in range(6, 28)] + ["99\t7a"]
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(str(p)) + ".*6..28 without gaps"):
+            Vocab.load(p)
+
+    def test_sha256_is_the_hash_of_the_saved_file(self, tmp_path):
+        v = build_vocab(make_articles(10))
+        v.save(tmp_path / "v.tsv")
+        assert v.sha256() == hashlib.sha256((tmp_path / "v.tsv").read_bytes()).hexdigest()
+        assert Vocab.load(tmp_path / "v.tsv").sha256() == v.sha256()
 
 
 class TestEncodeDecode:
