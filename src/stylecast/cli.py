@@ -23,7 +23,7 @@ from .fileio import atomic_write_text
 from .generate import GenerationError, generate
 from .model import ConfigError, clf_forward, convert_to_classifier, extract_latent, init_params
 from .projection import (
-    ProjectionError, cast_overlay, emit_scatter_svg, project_latents, write_latents,
+    ProjectionError, cast_latent, emit_scatter_svg, project_latents, write_latents,
 )
 from .style import CorpusStats, StyleError, StyleSpec
 from .text import CorpusError, Vocab, build_vocab, load_jsonl
@@ -304,20 +304,18 @@ def _cmd_project(args) -> int:
     if len(articles) <= cfg.knn:
         raise ProjectionError(
             f"need more than knn={cfg.knn} titles to project, got {len(articles)}")
-    ids = [text.encode_title(a.main_title, vocab, ckpt.config.max_seq) for a in articles]
-    latents = np.concatenate([
+    ids = [text.encode_title(t, vocab, ckpt.config.max_seq)
+           for t in [a.main_title for a in articles] + args.cast]
+    latents, cast_latents = np.split(np.concatenate([
         extract_latent(ckpt.params, ckpt.config, ids[lo:lo + EVAL_BATCH]).data
-        for lo in range(0, len(ids), EVAL_BATCH)])
+        for lo in range(0, len(ids), EVAL_BATCH)]), [len(articles)])
     labels = [a.label for a in articles]
     out = _out_dir(cfg)
     write_latents(out / "latents.bin", latents)
     result = project_latents(latents, labels, k=cfg.knn, epochs=cfg.layout_epochs,
                              seed=cfg.projection_seed)
-    points = list(result.points)
-    for phrase in args.cast:
-        points.append(cast_overlay(phrase, ckpt.params, ckpt.config, vocab, result))
     svg = out / "scatter.svg"
-    emit_scatter_svg(points, names, svg)
+    emit_scatter_svg(result.points + cast_latent(cast_latents, result), names, svg)
     print(f"projection: n={len(result.points)} sym_edges={result.sym_edges} "
           f"knn_s={result.stage_s['knn']:.3f} layout_s={result.stage_s['layout']:.3f}")
     print(f"latents: {out / 'latents.bin'}")

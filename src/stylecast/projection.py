@@ -1,12 +1,21 @@
 """Two-stage dimensionality reduction of latents, overlay casting, SVG output.
 
-Stage 1 builds a fuzzy k-nearest-neighbor graph. Distances are computed in
-fixed row blocks; one batched bisection solves every node's kernel width
-sigma so its neighbor weights sum to log2(k); directed weights are then
-symmetrized by fuzzy union over sorted COO edge arrays. Stage 2 lays the
-nodes out in 2-D: each epoch applies attraction along every edge and
-repulsion against sampled non-neighbors, all computed from one snapshot of
-the positions and scattered at once, with a linearly decaying learning rate.
+One neighbor query serves the graph and the casts: a matrix product per
+block of rows gives squared distances, the columns near each row's k-th are
+ranked by exact distance, and ties go to the lower index, so neither n nor
+the block size picks among duplicate points. One weight step follows it: a
+batched bisection solves each row's kernel width sigma so its neighbor
+weights exp(-(d - rho)+ / sigma) sum to log2(k).
+
+Stage 1 queries the points against themselves for a fuzzy k-nearest-neighbor
+graph and symmetrizes the directed weights by fuzzy union over sorted COO
+edge arrays. Stage 2 lays the nodes out in 2-D: each epoch applies
+attraction along every edge and repulsion against sampled non-neighbors, all
+computed from one snapshot of the positions and scattered at once, with a
+linearly decaying learning rate. The layout curve (LAYOUT_A, LAYOUT_B),
+NEGATIVE_SAMPLES, INITIAL_LR, SVG_SIZE and SVG_RADIUS are module constants.
+Casting queries any number of new latents against the frozen layout's
+latents at once and places each at its neighbors' weighted mean position.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -29,6 +37,11 @@ SIGMA_TOL = 1e-6
 SIGMA_ITERS = 128
 GRAD_CLIP = 4.0
 KNN_BLOCK = 256  # rows of the distance matrix held at once
+KNN_ROUNDING = 1e-9  # bound on the product's squared-distance error, per squared norm
+LAYOUT_A, LAYOUT_B = 1.58, 0.9  # attraction curve a*d^2b / (1 + a*d^2b)
+NEGATIVE_SAMPLES = 5  # repulsions per edge and epoch
+INITIAL_LR = 1.0
+SVG_SIZE, SVG_RADIUS = 1000, 3
 
 # 11-color palette, one per news section at full scale.
 PALETTE = [
@@ -82,11 +95,6 @@ class ProjectionResult:
     sym_edges: int = 0
     stage_s: dict[str, float] = field(default_factory=dict)
 
-    @cached_property
-    def xy(self) -> np.ndarray:
-        """[n, 2] layout coordinates of `points`."""
-        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64).reshape(-1, 2)
-
 
 def smooth_sigma(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a [rows, k] distance matrix: rho = nearest distance, and
@@ -118,6 +126,39 @@ def smooth_sigma(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rho, mid
 
 
+def _nearest(query: np.ndarray, ref: np.ndarray, k: int,
+             skip_self: bool = False) -> tuple[np.ndarray, ...]:
+    """Each query row's k nearest rows of `ref` (k at most the rows there are), ordered
+    by (distance, index): [m, k] indices and weights exp(-(d - rho)+ / sigma), and each
+    row's rho and sigma. With `skip_self` query is ref and skips itself. Distances come
+    from one product per KNN_BLOCK query rows. The columns within KNN_ROUNDING of a row's
+    k-th are ranked by exact distance, so rounding never decides a tie, and squared
+    distances below KNN_ROUNDING, mostly rounding in the product, are taken exact."""
+    query, ref = np.asarray(query, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    k = min(k, len(ref) - skip_self)
+    sq = (ref ** 2).sum(axis=1)
+    neighbors, dists = np.empty((len(query), k), dtype=np.int64), np.empty((len(query), k))
+    for start in range(0, len(query), KNN_BLOCK):
+        q = query[start:start + KNN_BLOCK]
+        q_sq = (q ** 2).sum(axis=1)[:, None]
+        d2 = q_sq + sq - 2.0 * (q @ ref.T)
+        if skip_self:
+            np.fill_diagonal(d2[:, start:], np.inf)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        band = KNN_ROUNDING * (q_sq + sq.max())
+        n_cand = (d2 <= kth + band).sum(axis=1).max()
+        cand = np.argpartition(d2, n_cand - 1, axis=1)[:, :n_cand]
+        exact = ((q[:, None, :] - ref[cand]) ** 2).sum(axis=2)
+        order = np.lexsort((cand, exact), axis=1)[:, :k]
+        idx, exact = np.take_along_axis(cand, order, 1), np.take_along_axis(exact, order, 1)
+        d2 = np.where(exact < band, exact, np.take_along_axis(d2, idx, 1))
+        neighbors[start:start + len(q)] = idx
+        dists[start:start + len(q)] = np.sqrt(np.maximum(d2, 0.0))
+    rhos, sigmas = smooth_sigma(dists, max(k, 2))
+    weights = np.exp(-np.maximum(dists - rhos[:, None], 0.0) / sigmas[:, None])
+    return neighbors, weights, rhos, sigmas
+
+
 def fuzzy_knn_graph(points: np.ndarray, k: int) -> FuzzyGraph:
     """Brute-force exact kNN graph with locally adaptive weights."""
     pts = np.asarray(points, dtype=np.float64)
@@ -126,22 +167,7 @@ def fuzzy_knn_graph(points: np.ndarray, k: int) -> FuzzyGraph:
         raise ProjectionError(f"k must be >= 2, got {k}")
     if n <= k:
         raise ProjectionError(f"need more points ({n}) than neighbors ({k})")
-    sq = (pts ** 2).sum(axis=1)
-    neighbors = np.empty((n, k), dtype=np.int64)
-    nd = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, KNN_BLOCK):
-        block = slice(start, min(start + KNN_BLOCK, n))
-        d2 = np.maximum(sq[block, None] + sq[None, :] - 2.0 * (pts[block] @ pts.T), 0.0)
-        dist = np.sqrt(d2)
-        rows = np.arange(block.start, block.stop)
-        dist[rows - start, rows] = np.inf
-        idx = np.argpartition(dist, k, axis=1)[:, :k]
-        near = np.take_along_axis(dist, idx, axis=1)
-        order = np.argsort(near, axis=1, kind="stable")
-        neighbors[block] = np.take_along_axis(idx, order, axis=1)
-        nd[block] = np.take_along_axis(near, order, axis=1)
-    rhos, sigmas = smooth_sigma(nd, k)
-    weights = np.exp(-np.maximum(nd - rhos[:, None], 0.0) / sigmas[:, None])
+    neighbors, weights, rhos, sigmas = _nearest(pts, pts, k, skip_self=True)
     return FuzzyGraph(n=n, k=k, neighbors=neighbors, weights=weights, rhos=rhos,
                       sigmas=sigmas, sym_edges=_fuzzy_union(neighbors, weights))
 
@@ -171,36 +197,32 @@ def _fuzzy_union(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.column_stack([lo[order], hi[order], sym[order]]).astype(np.float64)
 
 
-def optimize_layout(graph: FuzzyGraph, dims: int = 2, epochs: int = 200,
-                    seed: int = 0, a: float = 1.58, b: float = 0.9,
-                    negative_samples: int = 5, initial_lr: float = 1.0,
+def optimize_layout(graph: FuzzyGraph, epochs: int = 200, seed: int = 0,
                     labels: list[int] | None = None) -> list[LayoutPoint]:
     """Stochastic 2-D layout of a symmetrized fuzzy graph.
 
     Per epoch every edge pulls its endpoints together with strength
-    proportional to its weight along the curve a*d^2b / (1 + a*d^2b);
-    each edge also fires `negative_samples` repulsions from the head
-    against randomly drawn non-neighbors. All forces of an epoch are
-    computed from the positions at its start and applied together.
-    Deterministic under seed.
+    proportional to its weight along the LAYOUT_A, LAYOUT_B curve; each
+    edge also fires NEGATIVE_SAMPLES repulsions from the head against
+    randomly drawn non-neighbors. All forces of an epoch are computed from
+    the positions at its start and applied together, at a rate falling
+    linearly from INITIAL_LR. Deterministic under seed.
     """
-    if dims != 2:
-        raise ProjectionError("layout emits 2-D scatter points only")
     if len(graph.sym_edges) == 0:
         raise ProjectionError("cannot lay out an empty graph")
     n = graph.n
+    a, b, clip = LAYOUT_A, LAYOUT_B, GRAD_CLIP
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-10.0, 10.0, size=(n, dims))
+    emb = rng.uniform(-10.0, 10.0, size=(n, 2))
     edges = np.asarray(graph.sym_edges, dtype=np.float64)
     head = edges[:, 0].astype(np.int64)
     tail = edges[:, 1].astype(np.int64)
     w = edges[:, 2:3]
     neighbor_keys = np.sort(np.concatenate([head * n + tail, tail * n + head]))
-    neg_head = np.repeat(head, negative_samples)
+    neg_head = np.repeat(head, NEGATIVE_SAMPLES)
 
-    clip = GRAD_CLIP
     for epoch in range(epochs):
-        alpha = initial_lr * (1.0 - epoch / epochs)
+        alpha = INITIAL_LR * (1.0 - epoch / epochs)
         diff = emb[head] - emb[tail]
         d2 = (diff * diff).sum(axis=1, keepdims=True)
         safe = np.where(d2 > 0.0, d2, 1.0)
@@ -240,29 +262,23 @@ def project_latents(latents: np.ndarray, labels: list[int], k: int = 15,
                             stage_s={"knn": t1 - t0, "layout": t2 - t1})
 
 
-def cast_latent(latent: np.ndarray, result: ProjectionResult) -> LayoutPoint:
-    """Interpolate a new latent onto the frozen layout via its kNN kernel weights."""
+def cast_latent(latent: np.ndarray, result: ProjectionResult) -> LayoutPoint | list[LayoutPoint]:
+    """Place latents on the frozen layout at their kNN kernel-weighted mean: a [d]
+    latent gives one point, an [m, d] batch a list of m, each as if cast alone."""
     if not result.points:
         raise ProjectionError("cannot cast onto an untrained layout")
-    vec = np.asarray(latent, dtype=np.float64)
-    dist = np.sqrt(((result.latents - vec) ** 2).sum(axis=1))
-    k = min(result.k, len(dist))
-    idx = np.argpartition(dist, k - 1)[:k] if k < len(dist) else np.arange(len(dist))
-    idx = idx[np.argsort(dist[idx], kind="stable")]
-    nd = dist[idx]
-    rho, sigma = smooth_sigma(nd[None, :], max(k, 2))
-    w = np.exp(-np.maximum(nd - rho, 0.0) / sigma)
-    w /= w.sum()
-    x, y = w @ result.xy[idx]
-    return LayoutPoint(float(x), float(y), OVERLAY_LABEL, is_overlay=True)
+    idx, w, _, _ = _nearest(np.atleast_2d(latent), result.latents, result.k)
+    layout = np.array([(p.x, p.y) for p in result.points])
+    xy = np.matmul((w / w.sum(axis=1, keepdims=True))[:, None, :], layout[idx])[:, 0]
+    points = [LayoutPoint(x, y, OVERLAY_LABEL, is_overlay=True) for x, y in xy.tolist()]
+    return points[0] if np.ndim(latent) == 1 else points
 
 
 def cast_overlay(phrase: str, params: dict[str, Tensor], config: ModelConfig,
                  vocab: text.Vocab, result: ProjectionResult) -> LayoutPoint:
     """Run a phrase through the classifier and cast its latent onto the layout."""
     ids = text.encode_title(phrase, vocab, config.max_seq)
-    latent = extract_latent(params, config, ids).data
-    return cast_latent(latent, result)
+    return cast_latent(extract_latent(params, config, ids).data, result)
 
 
 # -- latent file interface ---------------------------------------------------------
@@ -290,19 +306,18 @@ def read_latents(path: str | Path) -> np.ndarray:
 # -- scatter output ----------------------------------------------------------------
 
 
-def emit_scatter_svg(points: list[LayoutPoint], class_names: list[str],
-                     path: str | Path, size: int = 1000, radius: int = 3) -> None:
+def emit_scatter_svg(points: list[LayoutPoint], class_names: list[str], path: str | Path) -> None:
     """Write an SVG 1.1 scatter: one circle per point, overlays black on top."""
     if not points:
         raise ProjectionError("no points to plot")
     xs = [p.x for p in points]
     ys = [p.y for p in points]
-    margin = 0.05 * size
-    span = size - 2.0 * margin
+    margin = 0.05 * SVG_SIZE
+    span = SVG_SIZE - 2.0 * margin
 
     def scaled(v: float, lo: float, hi: float) -> float:
         if hi == lo:
-            return size / 2.0
+            return SVG_SIZE / 2.0
         return margin + (v - lo) / (hi - lo) * span
 
     x_lo, x_hi = min(xs), max(xs)
@@ -315,15 +330,15 @@ def emit_scatter_svg(points: list[LayoutPoint], class_names: list[str],
 
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>',
     ]
     ordered = [p for p in points if not p.is_overlay] + [p for p in points if p.is_overlay]
     for p in ordered:
         cx = scaled(p.x, x_lo, x_hi)
-        cy = size - scaled(p.y, y_lo, y_hi)
-        body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius}" fill="{color(p)}"/>')
-    lx = size - 190
+        cy = SVG_SIZE - scaled(p.y, y_lo, y_hi)
+        body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{SVG_RADIUS}" fill="{color(p)}"/>')
+    lx = SVG_SIZE - 190
     ly = 30
     body.append('<g font-family="sans-serif" font-size="14">')
     for i, name in enumerate(class_names):

@@ -148,18 +148,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._node(out_data, (a, b), "add", backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not match")
-    out_data = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return Tensor._node(out_data, (a, b), "mul", backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     out_data = a.data * c
 
@@ -188,13 +176,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         _accumulate(a, g.reshape(a.data.shape))
 
     return Tensor._node(a.data.reshape(shape).copy(), (a,), "reshape", backward)
-
-
-def tsum(a: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.data, g))
-
-    return Tensor._node(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), "sum", backward)
 
 
 # -- slicing / stitching -------------------------------------------------------
@@ -238,21 +219,6 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 # -- nonlinearities and losses ---------------------------------------------------
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`; rows sum to 1 within 1e-6."""
-    if not np.all(np.isfinite(x.data) | np.isneginf(x.data)):
-        raise NumericError("softmax: input contains nan or +inf")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _accumulate(x, (g - dot) * s)
-
-    return Tensor._node(s, (x,), "softmax", backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,

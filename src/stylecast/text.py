@@ -226,7 +226,7 @@ def split_shuffled(items: list, ratio: float = 0.9, seed: int = 0) -> tuple[list
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
     if len(items) < 2:
-        raise ValueError(f"cannot split {len(items)} item(s)")
+        raise CorpusError(f"cannot split {len(items)} item(s)")
     order = list(range(len(items)))
     random.Random(seed).shuffle(order)
     n_train = round(ratio * len(items))

@@ -4,7 +4,9 @@ This is the transformer as it ran before batching: one graph per sample,
 attention one head at a time over column slices of the weights, the
 style vector tiled over the rows, and the classifier row found by a scan
 for the last non-pad id. Tests compare the batched `stylecast` code
-against it; nothing in the package imports it.
+against it; nothing in the package imports it. It also holds the
+elementwise product, full sum and softmax ops that only tests build
+graphs with.
 """
 
 from __future__ import annotations
@@ -16,9 +18,43 @@ import numpy as np
 from stylecast import text
 from stylecast.model import causal_mask
 from stylecast.tensor import (
-    Tensor, _accumulate, add, concat_cols, cross_entropy_mean, dropout, embedding, gelu,
-    layer_norm, matmul, reshape, scale, slice_rows, softmax, token_nll,
+    NumericError, ShapeError, Tensor, _accumulate, add, concat_cols, cross_entropy_mean,
+    dropout, embedding, gelu, layer_norm, matmul, reshape, scale, slice_rows, token_nll,
 )
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not match")
+    out_data = a.data * b.data
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
+
+    return Tensor._node(out_data, (a, b), "mul", backward)
+
+
+def tsum(a: Tensor) -> Tensor:
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, np.full_like(a.data, g))
+
+    return Tensor._node(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), "sum", backward)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Max-subtracted softmax along `axis`; rows sum to 1 within 1e-6."""
+    if not np.all(np.isfinite(x.data) | np.isneginf(x.data)):
+        raise NumericError("softmax: input contains nan or +inf")
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        _accumulate(x, (g - dot) * s)
+
+    return Tensor._node(s, (x,), "softmax", backward)
 
 
 def transpose(a: Tensor) -> Tensor:

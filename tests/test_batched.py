@@ -10,9 +10,10 @@ import pytest
 
 from stylecast import text, train
 from stylecast.model import ModelConfig, causal_mask, extract_latent, init_params, lm_forward
-from stylecast.tensor import Tensor, attention, grad_check, mul, tsum
+from stylecast.tensor import Tensor, attention, grad_check
 from stylecast.text import build_vocab
 from tests import reference as ref
+from tests.reference import mul, tsum
 from tests.conftest import make_articles, make_regular_articles
 
 RTOL = {np.float32: 1e-5, np.float64: 1e-9}

@@ -191,11 +191,12 @@ class TestPipeline:
     def test_08_project_with_cast(self, workdir, capsys):
         root, cfg = workdir
         code = dispatch(["project", "--config", str(cfg), "--cast", "abba adda",
-                         "--set", f"checkpoint={root / 'out' / 'clf.ckpt'}"])
+                         "--cast", "dabba", "--set", f"checkpoint={root / 'out' / 'clf.ckpt'}"])
         assert code == 0
         svg = (root / "out" / "scatter.svg").read_text()
         assert svg.count("<circle") >= 24
         assert 'fill="#000000"' in svg
+        assert svg.count('r="3" fill="#000000"') == 2  # one overlay per phrase
         assert (root / "out" / "latents.bin").exists()
 
     def test_08b_project_reports_stage_times(self, workdir, capsys):
@@ -394,6 +395,18 @@ class TestOpenRun:
                                checkpoint=root / "out" / "clf.ckpt")
         assert code == 2
         assert "--limit" in err
+
+    @pytest.mark.parametrize("command", ["train-gen", "eval"])
+    def test_one_article_corpus_exit_2(self, trained, capsys, tmp_path, command):
+        root, cfg = trained
+        one = tmp_path / "one.jsonl"
+        one.write_text((root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0],
+                       encoding="utf-8")
+        sets = ({"out_dir": tmp_path / "out"} if command == "train-gen"
+                else {"checkpoint": root / "out" / "lm.ckpt", "vocab": root / "out" / "vocab.tsv"})
+        code, _, err = run_cli(capsys, command, cfg, corpus=one, **sets)
+        assert code == 2
+        assert "cannot split 1 item(s)" in err
 
 
 def test_readme_config_in_a_fresh_directory(tmp_path, monkeypatch, capsys):

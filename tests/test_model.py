@@ -10,8 +10,9 @@ from stylecast.model import (
 )
 from stylecast.style import CorpusStats, StyleSpec
 from stylecast.tensor import (
-    Tensor, attention, cross_entropy_mean, grad_check, matmul, slice_rows, tsum,
+    Tensor, attention, cross_entropy_mean, grad_check, matmul, slice_rows,
 )
+from tests.reference import tsum
 
 STATS = CorpusStats(n_sections=4, t_min=0, t_max=100)
 

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from stylecast import projection
 from stylecast.projection import (
-    KNN_BLOCK, SIGMA_ITERS, SIGMA_TOL, LayoutPoint, ProjectionError, cast_latent,
+    KNN_BLOCK, KNN_ROUNDING, SIGMA_ITERS, SIGMA_TOL, LayoutPoint, ProjectionError, cast_latent,
     emit_scatter_svg, fuzzy_knn_graph, optimize_layout, project_latents, read_latents,
     smooth_sigma, write_latents,
 )
@@ -117,7 +118,9 @@ def reference_sigma(dists, k):
 
 
 def reference_graph(points, k):
-    """Dense distances, one neighbor search and sigma solve per row, dict fuzzy union."""
+    """Dense distances, one neighbor search by (exact distance, index) and sigma solve
+    per row, dict fuzzy union. A squared distance below the product's rounding bound
+    is taken exact."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     sq = (pts ** 2).sum(axis=1)
@@ -127,9 +130,11 @@ def reference_graph(points, k):
     weights = np.zeros((n, k))
     rhos, sigmas = np.zeros(n), np.zeros(n)
     for i in range(n):
-        idx = np.argpartition(dist[i], k)[:k]
-        idx = idx[np.argsort(dist[i][idx], kind="stable")]
-        nd = dist[i][idx]
+        exact = ((pts - pts[i]) ** 2).sum(axis=1)
+        exact[i] = np.inf
+        idx = np.lexsort((np.arange(n), exact))[:k]
+        near_zero = exact[idx] < KNN_ROUNDING * (sq[i] + sq.max())
+        nd = np.where(near_zero, np.sqrt(exact[idx]), dist[i][idx])
         rhos[i], sigmas[i] = reference_sigma(nd, k)
         neighbors[i] = idx
         weights[i] = np.exp(-np.maximum(nd - rhos[i], 0.0) / sigmas[i])
@@ -190,8 +195,8 @@ class TestArrayCodeOracle:
     @pytest.mark.parametrize("name,pts,k", list(oracle_cases()),
                              ids=[c[0] for c in oracle_cases()])
     def test_graph_matches_loop_reference(self, name, pts, k):
-        # one block computes pts @ pts.T like the reference, so the distance bits,
-        # and with them the choice among exact ties at the k-th neighbor, agree
+        # one block computes pts @ pts.T like the reference, so the distance bits
+        # agree; exact ties at the k-th neighbor go to the lower index in both
         assert len(pts) <= KNN_BLOCK
         neighbors, rhos, sigmas, sym = reference_graph(pts, k)
         g = fuzzy_knn_graph(pts, k)
@@ -211,6 +216,23 @@ class TestArrayCodeOracle:
         np.testing.assert_allclose(g.rhos, rhos, rtol=1e-9)
         np.testing.assert_allclose(g.sigmas, sigmas, rtol=1e-9)
         assert [(int(i), int(j)) for i, j, _ in g.sym_edges] == [key for key, _ in sym]
+
+    @pytest.mark.parametrize("block", [7, 64, 10_000])
+    def test_duplicate_neighbors_do_not_depend_on_the_block(self, monkeypatch, block):
+        # more rows than KNN_BLOCK, each base point present two to four times:
+        # every exact tie at the k-th neighbor goes to the lower index, and the
+        # distance between copies is 0 whatever the block's product rounds it to
+        base = np.random.default_rng(14).standard_normal((100, 16))
+        pts = np.vstack([base, base, base[:60], base[:50], base[:5]])
+        assert len(pts) > KNN_BLOCK
+        neighbors, rhos, sigmas, sym = reference_graph(pts, 5)
+        monkeypatch.setattr(projection, "KNN_BLOCK", block)
+        g = fuzzy_knn_graph(pts, 5)
+        assert np.array_equal(g.neighbors, neighbors)
+        assert [(int(i), int(j)) for i, j, _ in g.sym_edges] == [key for key, _ in sym]
+        assert np.array_equal(g.rhos, rhos) and not rhos.any()
+        np.testing.assert_allclose(g.sigmas, sigmas, rtol=1e-9)
+        np.testing.assert_allclose(g.sym_edges[:, 2], [w for _, w in sym], rtol=1e-9)
 
     def test_layout_matches_edge_loop_reference(self):
         pts, labels = gaussian_clusters(n_per=15, d=6, centers=2, seed=15)
@@ -293,6 +315,26 @@ class TestCast:
         ys = [p.y for p in result.points]
         assert min(xs) - 1e-9 <= probe.x <= max(xs) + 1e-9
         assert min(ys) - 1e-9 <= probe.y <= max(ys) + 1e-9
+
+    @pytest.mark.parametrize("n_points", [120, 4])  # 4 < k: every point is a neighbor
+    def test_batch_equals_one_row_casts(self, projected, n_points):
+        from stylecast.projection import ProjectionResult
+        pts, labels, full = projected
+        result = full if n_points == len(pts) else ProjectionResult(
+            points=full.points[:n_points], latents=pts[:n_points], k=full.k)
+        rng = np.random.default_rng(16)
+        probes = np.vstack([pts[:3], pts[40:45] + 0.3 * rng.standard_normal((5, pts.shape[1])),
+                            pts[7:8], np.zeros((1, pts.shape[1]))])
+        batch = cast_latent(probes, result)
+        assert len(batch) == len(probes)
+        for probe, got in zip(probes, batch):
+            alone = cast_latent(probe, result)
+            assert isinstance(alone, LayoutPoint) and alone.is_overlay and got.is_overlay
+            # a product over m rows may round apart from one over a single row;
+            # probes[:3] and probes[8] are training latents, at exact distance 0
+            np.testing.assert_allclose((got.x, got.y), (alone.x, alone.y), rtol=0, atol=1e-12)
+        assert len(cast_latent(probes[:1], result)) == 1
+        assert cast_latent(probes[:0], result) == []
 
     def test_cast_on_empty_layout_rejected(self):
         from stylecast.projection import ProjectionResult

@@ -5,7 +5,8 @@ from stylecast.style import (
     CorpusStats, StyleError, StyleSpec, fuse_embedding, learned_style,
     minmax_style, style_dim,
 )
-from stylecast.tensor import Tensor, tsum
+from stylecast.tensor import Tensor
+from tests.reference import tsum
 
 STATS = CorpusStats(n_sections=11, t_min=1_000, t_max=2_000)
 

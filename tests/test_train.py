@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stylecast.model import ModelConfig, init_params
-from stylecast.tensor import Tensor, add, mul, tsum
+from stylecast.tensor import Tensor, add
 from stylecast.text import build_vocab, split_shuffled
 from stylecast.train import (
     AdamWState, TrainConfig, TrainError, adamw_step, clf_batch_loss, clf_samples_from_articles,
@@ -14,6 +14,7 @@ from stylecast.train import (
 )
 from stylecast.train import _constant as train_constant
 from tests.conftest import make_articles, make_regular_articles
+from tests.reference import mul, tsum
 
 
 def one_param(value, grad=None):

@@ -10,9 +10,10 @@ old and the new source and compares the outputs byte for byte:
 It covers train_lm for every style mode with and without early stop and
 max_steps, fine_tune_classifier for SGD and AdamW with the backbone frozen
 and not, evaluate_lm, batch losses with their gradients and graph sizes,
-greedy and sampled generation, error messages, checkpoint bytes, and the
-CLI's training, generation and eval commands. Wall times are left out.
-Takes about 20 s on one core.
+greedy and sampled generation, error messages, checkpoint bytes, the kNN
+graph (on tie-free and on duplicate points), the layout, cast points and
+SVG bytes of the projection, and the CLI's training, generation, eval and
+project commands. Wall times are left out. Takes about 5 s on one core.
 """
 import contextlib
 import hashlib
@@ -28,7 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.conftest import make_articles, make_regular_articles  # noqa: E402
 
-from stylecast import checkpoint, generate, model, train  # noqa: E402
+from stylecast import checkpoint, generate, model, projection, train  # noqa: E402
 from stylecast.cli import dispatch  # noqa: E402
 from stylecast.style import StyleSpec  # noqa: E402
 from stylecast.text import build_vocab  # noqa: E402
@@ -147,6 +148,39 @@ def classifier(arts):
     print("ckpt clf", ckpt_hash(params, cfg, {"b": 2}))
 
 
+def clusters(seed, n_per=60, d=16):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((3, d)) * 6.0
+    pts = np.vstack([rng.standard_normal((n_per, d)) + c for c in centers])
+    return pts, [c for c in range(3) for _ in range(n_per)]
+
+
+def projection_records():
+    """kNN graphs below and above KNN_BLOCK rows, a layout, casts and the SVG."""
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal((100, 16))
+    cases = (("tie-free", rng.standard_normal((300, 16)), 8),
+             ("duplicates", np.vstack([base, base, base[:60], base[:50]]), 5),
+             ("small duplicates", np.vstack([base[:30], base[:12]]), 4))
+    for name, pts, k in cases:
+        g = projection.fuzzy_knn_graph(pts, k)
+        print("knn", name, len(pts), k, len(g.sym_edges),
+              *(h({"a": a}) for a in (g.neighbors, g.rhos, g.sigmas, g.sym_edges)))
+    pts, labels = clusters(22)
+    g = projection.fuzzy_knn_graph(pts, 8)
+    xy = [(p.x, p.y) for p in projection.optimize_layout(g, epochs=20, seed=4, labels=labels)]
+    print("layout", h({"xy": np.array(xy)}))
+    result = projection.project_latents(pts, labels, k=8, epochs=20, seed=4)
+    probes = [pts[0], pts[70] + 0.05, pts[:3].mean(axis=0), np.zeros(16), pts[179] * 2.0]
+    casts = [projection.cast_latent(v, result) for v in probes]
+    for c in casts:
+        print("cast", repr(c.x), repr(c.y), c.label, c.is_overlay)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.svg"
+        projection.emit_scatter_svg(result.points + casts, ["a", "b&c", "d"], path)
+        print("svg", hashlib.sha256(path.read_bytes()).hexdigest()[:16])
+
+
 def command_line(arts):
     """Relative paths keep the config hash, and so the checkpoint bytes, path-independent."""
     lm, clf = "checkpoint=out/lm.ckpt", "checkpoint=out/clf.ckpt"
@@ -178,6 +212,12 @@ def command_line(arts):
             for name in ("train-gen-metrics.csv", "train-clf-metrics.csv"):
                 print("cli csv", name, [ln for ln in Path("out", name).read_text().splitlines()
                                         if "wall_time" not in ln])
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = dispatch(["project", "--config", "run.json", "--cast", "ab",
+                                 "--cast", "ba ab", "--set", clf])
+            print("cli project", code, *(hashlib.sha256(Path("out", name).read_bytes())
+                                         .hexdigest()[:16]
+                                         for name in ("latents.bin", "scatter.svg")))
         finally:
             os.chdir(here)
 
@@ -186,4 +226,5 @@ if __name__ == "__main__":
     lm_arts = make_regular_articles(24, title_words=1, sub_words=1, body_words=2)
     language_model(lm_arts)
     classifier(make_articles(40))
+    projection_records()
     command_line(lm_arts)
