@@ -10,6 +10,7 @@ is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,22 +81,25 @@ def load_checkpoint(path: str | Path, expect_head: str | None = None) -> Checkpo
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{p}: unsupported checkpoint version {version}")
+    raw_header = r.take(r.u32())
     try:
-        header = json.loads(r.take(r.u32()).decode("utf-8"))
+        header = json.loads(raw_header.decode("utf-8"))
         config = ModelConfig.from_dict(header["model"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{p}: unreadable checkpoint header: {exc!r}") from None
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise CheckpointError(f"{p}: checkpoint header meta is not a JSON object")
     params: dict[str, Tensor] = {}
     while not r.exhausted:
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{p}: a tensor name is not UTF-8") from None
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(dims).copy()
-        params[name] = Tensor(arr, requires_grad=True)
+        arr = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims).copy()
+        params[name] = Tensor(arr)
     have = {name: t.data.shape for name, t in params.items()}
     want = param_shapes(config)
     if have != want:

@@ -43,6 +43,10 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
+        sizes = (self.n_layers, self.n_heads, self.d_model, self.d_ff, self.max_seq,
+                 self.vocab_size, self.n_sections)
+        if not all(isinstance(v, int) and v >= 1 for v in sizes):
+            raise ConfigError(f"model sizes must be integers >= 1, got {sizes}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -103,7 +107,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def init_params(config: ModelConfig, seed: int = 0,
                 dtype=np.float32, zero_head: bool = True) -> dict[str, Tensor]:
-    """Fresh parameter dict in declaration order.
+    """Fresh parameter dict in declaration order, as trainable leaves for hand-written loops.
 
     Weights are truncated normal (std 0.02), biases and layer-norm shifts
     zero, gains one. Heads start zero ("blank") unless zero_head is off.
@@ -248,7 +252,7 @@ def extract_latent(params: dict[str, Tensor], config: ModelConfig, ids) -> Tenso
 
 def convert_to_classifier(params: dict[str, Tensor], config: ModelConfig,
                           n_sections: int, max_seq: int = text.TITLE_LEN) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Swap the lm head for a blank section head, keeping the backbone.
+    """Swap the lm head for a blank section head, keeping the backbone, as constants.
 
     Only style-free models convert: a styled backbone's token width
     differs from d_model and cannot serve the unconditioned classifier.
@@ -263,8 +267,8 @@ def convert_to_classifier(params: dict[str, Tensor], config: ModelConfig,
         if name.startswith("head."):
             continue
         data = t.data[:new_seq].copy() if name == "pos_emb" else t.data.copy()
-        out[name] = Tensor(data, requires_grad=True)
+        out[name] = Tensor(data)
     dtype = params["tok_emb"].data.dtype
-    out["head.w"] = Tensor(np.zeros((config.d_model, n_sections), dtype=dtype), requires_grad=True)
-    out["head.b"] = Tensor(np.zeros(n_sections, dtype=dtype), requires_grad=True)
+    out["head.w"] = Tensor(np.zeros((config.d_model, n_sections), dtype=dtype))
+    out["head.b"] = Tensor(np.zeros(n_sections, dtype=dtype))
     return out, new_cfg

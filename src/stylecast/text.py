@@ -70,7 +70,11 @@ class Vocab:
     def load(cls, path: str | Path) -> "Vocab":
         char_to_id: dict[str, int] = {}
         id_to_char: dict[int, str] = {}
-        for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise CorpusError(f"vocab file {path}: not valid UTF-8") from None
+        for ln, raw in enumerate(lines, 1):
             if not raw.strip():
                 continue
             ident, _, hexcp = raw.partition("\t")
@@ -94,23 +98,30 @@ class Vocab:
 def load_jsonl(path: str | Path, n_sections: int | None = None) -> tuple[list[Article], list[str]]:
     """Parse one JSON article per line; skipped lines are reported, not fatal.
 
+    Only LF, CR and CRLF end a line, and each line is decoded on its own,
+    so a line that is not UTF-8 is skipped like any other bad line.
     Returns (articles in file order, report of skipped lines).
     """
     p = Path(path)
     try:
-        raw_lines = p.read_text(encoding="utf-8").splitlines()
+        raw_lines = p.read_bytes().splitlines()
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {p}: {exc}") from exc
 
     articles: list[Article] = []
     report: list[str] = []
-    for ln, raw in enumerate(raw_lines, 1):
+    for ln, blob in enumerate(raw_lines, 1):
+        try:
+            raw = blob.decode("utf-8")
+        except UnicodeDecodeError:
+            report.append(f"line {ln}: not valid UTF-8")
+            continue
         if not raw.strip():
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            report.append(f"line {ln}: invalid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:  # also too-long ints, too-deep nesting
+            report.append(f"line {ln}: invalid JSON ({getattr(exc, 'msg', exc)})")
             continue
         if not isinstance(obj, dict):
             report.append(f"line {ln}: not a JSON object")
@@ -222,14 +233,19 @@ def decode(ids: list[int], vocab: Vocab) -> str:
 
 
 def split_shuffled(items: list, ratio: float = 0.9, seed: int = 0) -> tuple[list, list]:
-    """Deterministic shuffle under seed, then exact |train| = round(ratio*N) split."""
+    """Deterministic shuffle under seed, then exact |train| = round(ratio*N) split.
+
+    Raises CorpusError when either side would be empty.
+    """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
-    if len(items) < 2:
-        raise CorpusError(f"cannot split {len(items)} item(s)")
+    n_train = round(ratio * len(items))
+    if not 0 < n_train < len(items):
+        side = "training" if n_train == 0 else "validation"
+        raise CorpusError(f"cannot split {len(items)} item(s) at ratio {ratio}: "
+                          f"the {side} split would be empty")
     order = list(range(len(items)))
     random.Random(seed).shuffle(order)
-    n_train = round(ratio * len(items))
     train = [items[i] for i in order[:n_train]]
     val = [items[i] for i in order[n_train:]]
     return train, val

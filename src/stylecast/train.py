@@ -183,11 +183,6 @@ def _pad_batch(id_lists) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _constant(params: dict[str, Tensor], live=()) -> dict[str, Tensor]:
-    """Params as constants, except the names in `live`: a forward builds no graph through them."""
-    return {k: v if k in live else Tensor(v.data) for k, v in params.items()}
-
-
 # -- language model ---------------------------------------------------------------
 
 
@@ -216,10 +211,9 @@ def evaluate_lm(params: dict[str, Tensor], config: ModelConfig,
     """Per-token mean loss over all non-pad targets, and its perplexity."""
     if not samples:
         raise TrainError("evaluate_lm: empty sample set")
-    view = _constant(params)
     total, count = 0.0, 0
     for lo in range(0, len(samples), EVAL_BATCH):
-        logits, targets = _lm_batch(view, config, samples[lo:lo + EVAL_BATCH], stats)
+        logits, targets = _lm_batch(params, config, samples[lo:lo + EVAL_BATCH], stats)
         keep = (targets != text.PAD).reshape(-1)
         per = token_nll(logits.data.astype(np.float64), targets.reshape(-1))
         total += float(per[keep].sum())
@@ -238,7 +232,7 @@ def _optimizer_step(params: dict[str, Tensor], cfg: TrainConfig, state: AdamWSta
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
+    return {k: Tensor(v.data.copy()) for k, v in params.items()}
 
 
 def _check_finite(params: dict[str, Tensor]) -> None:
@@ -250,16 +244,22 @@ def _check_finite(params: dict[str, Tensor]) -> None:
 def _fit(train_set: list, val_set: list, params: dict[str, Tensor], cfg: TrainConfig,
          batch_loss, validate, trainable: dict[str, Tensor], rng: np.random.Generator,
          max_steps: int | None = None) -> tuple[dict[str, Tensor], MetricsLog]:
-    """The epoch loop both trainers share.
+    """The epoch loop both trainers share, and the only code that makes gradient leaves.
 
-    Each step backpropagates batch_loss(batch) over a per-epoch shuffle of
-    train_set, then clips and steps only the `trainable` parameters.
-    After each epoch validate(val_set) returns (score, [(metric, value)]);
-    the metrics are logged under "val", the highest score keeps a
+    The `trainable` params become leaves. Each step backpropagates
+    batch_loss(step view, batch) over a per-epoch shuffle of train_set, the
+    view holding every other param as a constant over the same array, then
+    clips and steps the trainable `.data` in place. After each epoch
+    validate(all-constant view, val_set) returns (score, [(metric, value)]);
+    the metrics are logged under "val", the highest score keeps a constant
     snapshot of all params, and training stops once the score has not
     improved for early_stop_patience consecutive epochs (None disables)
     or after max_steps steps, which still validates the partial epoch.
     """
+    for p in trainable.values():
+        p.requires_grad = True
+    step_view = {k: v if k in trainable else Tensor(v.data) for k, v in params.items()}
+    val_view = {k: Tensor(v.data) for k, v in params.items()}
     state = AdamWState()
     log = MetricsLog()
     best = _snapshot(params)
@@ -273,7 +273,7 @@ def _fit(train_set: list, val_set: list, params: dict[str, Tensor], cfg: TrainCo
         for lo in range(0, len(train_set), cfg.batch_size):
             batch = [train_set[i] for i in order[lo:lo + cfg.batch_size]]
             zero_gradients(params)
-            loss = batch_loss(batch)
+            loss = batch_loss(step_view, batch)
             loss.backward()
             clip_gradients(trainable, cfg.grad_clip_norm)
             _optimizer_step(trainable, cfg, state)
@@ -282,7 +282,7 @@ def _fit(train_set: list, val_set: list, params: dict[str, Tensor], cfg: TrainCo
             steps += 1
             if max_steps is not None and steps >= max_steps:
                 break
-        score, metrics = validate(val_set)
+        score, metrics = validate(val_view, val_set)
         log.add(epoch, "train", "loss", float(np.mean(epoch_losses)))
         for metric, value in metrics:
             log.add(epoch, "val", metric, value)
@@ -314,12 +314,12 @@ def train_lm(samples: list[LmSample], params: dict[str, Tensor], config: ModelCo
     train_set, val_set = split_shuffled(samples, cfg.split_ratio, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
-    def validate(val: list[LmSample]):
-        loss, ppl = evaluate_lm(params, config, val, stats)
+    def validate(view: dict[str, Tensor], val: list[LmSample]):
+        loss, ppl = evaluate_lm(view, config, val, stats)
         return -loss, [("loss", loss), ("perplexity", ppl)]
 
     return _fit(train_set, val_set, params, cfg,
-                lambda batch: lm_batch_loss(params, config, batch, stats, train=True, rng=rng),
+                lambda view, batch: lm_batch_loss(view, config, batch, stats, train=True, rng=rng),
                 validate, params, rng, max_steps)
 
 
@@ -339,9 +339,8 @@ def evaluate_accuracy(params: dict[str, Tensor], config: ModelConfig,
     """Argmax accuracy plus an S x S confusion matrix (rows = true label)."""
     if not samples:
         raise TrainError("evaluate_accuracy: empty sample set")
-    view = _constant(params)
     ids = _pad_batch([s.ids for s in samples])
-    preds = np.concatenate([np.argmax(clf_forward(view, config, ids[lo:lo + EVAL_BATCH]).data, 1)
+    preds = np.concatenate([clf_forward(params, config, ids[lo:lo + EVAL_BATCH]).data.argmax(1)
                             for lo in range(0, len(ids), EVAL_BATCH)])
     labels = np.array([s.label for s in samples], dtype=np.int64)
     s = config.n_sections
@@ -359,13 +358,11 @@ def fine_tune_classifier(samples: list[ClfSample], params: dict[str, Tensor],
     rng = np.random.default_rng(cfg.seed)
     trainable = ({k: v for k, v in params.items() if k.startswith("head.")}
                  if freeze_backbone else params)
-    # Params outside `trainable` run as constants: a frozen backbone builds no graph.
-    forward_params = _constant(params, trainable)
 
-    def validate(val: list[ClfSample]):
-        acc, _ = evaluate_accuracy(params, config, val)
+    def validate(view: dict[str, Tensor], val: list[ClfSample]):
+        acc, _ = evaluate_accuracy(view, config, val)
         return acc, [("accuracy", acc)]
 
     return _fit(train_set, val_set, params, cfg,
-                lambda batch: clf_batch_loss(forward_params, config, batch, train=True, rng=rng),
+                lambda view, batch: clf_batch_loss(view, config, batch, train=True, rng=rng),
                 validate, trainable, rng)

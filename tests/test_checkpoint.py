@@ -1,10 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from stylecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from stylecast.model import ModelConfig, init_params, param_shapes
+from stylecast.model import (
+    ModelConfig, clf_forward, extract_latent, init_params, lm_forward, param_shapes,
+)
 from stylecast.tensor import Tensor
 
 
@@ -97,6 +100,71 @@ class TestCorruption:
         p.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + n:])
         with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(p)
+
+
+    @pytest.mark.parametrize("kind", ["n_heads 0", "n_layers a string", "n_layers 1.5",
+                                      "d_ff -1", "unknown style", "deep nesting",
+                                      "overlong int"])
+    def test_invalid_header_values(self, tmp_path, kind):
+        cfg = desk()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=6), cfg, p)
+        blob = p.read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + n])
+        model = header["model"]
+        new = {
+            "n_heads 0": json.dumps({**header, "model": {**model, "n_heads": 0}}),
+            "n_layers a string": json.dumps({**header, "model": {**model, "n_layers": "2"}}),
+            "n_layers 1.5": json.dumps({**header, "model": {**model, "n_layers": 1.5}}),
+            "d_ff -1": json.dumps({**header, "model": {**model, "d_ff": -1}}),
+            "unknown style": json.dumps({**header, "model": {**model, "style_mode": "x"}}),
+            "deep nesting": '{"model": ' + "[" * 5000,
+            "overlong int": '{"model": ' + "1" * 5000 + "}",
+        }[kind].encode("utf-8")
+        p.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + n:])
+        with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
+            load_checkpoint(p)
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        cfg = desk()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=6), cfg, p)
+        blob = bytearray(p.read_bytes())
+        first_name = 16 + int.from_bytes(blob[8:12], "little")
+        assert blob[first_name:first_name + 7] == b"tok_emb"
+        blob[first_name] = 0xFF
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="tensor name.*not UTF-8"):
+            load_checkpoint(p)
+
+    def test_dims_whose_product_overflows_int64(self, tmp_path):
+        cfg = desk()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=6), cfg, p)
+        # 2**93 float32 values: numpy's int64 product would wrap to 0
+        tail = struct.pack("<I", 1) + b"x" + struct.pack("<4I", 3, 2 ** 31, 2 ** 31, 2 ** 31)
+        p.write_bytes(p.read_bytes() + tail)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
+
+
+class TestLoadedParamsAreConstants:
+    """A loaded checkpoint is for inference: its forwards build no autodiff graph."""
+
+    def test_forwards_build_no_graph_and_match_the_leaves(self, tmp_path):
+        ids = np.array([[1, 7, 8, 9, 2, 0], [1, 10, 11, 2, 0, 0]])
+        for cfg, forwards in ((desk("lm"), [lm_forward]),
+                              (desk("classifier"), [clf_forward, extract_latent])):
+            leaves = init_params(cfg, seed=4, zero_head=False)
+            p = tmp_path / f"{cfg.head_type}.ckpt"
+            save_checkpoint(leaves, cfg, p)
+            loaded = load_checkpoint(p).params
+            assert not any(t.requires_grad for t in loaded.values())
+            for forward in forwards:
+                out = forward(loaded, cfg, ids)
+                assert out._parents == () and out._backward is None, forward.__name__
+                assert out.data.tobytes() == forward(leaves, cfg, ids).data.tobytes()
 
 
 class TestTensorsAgainstConfig:

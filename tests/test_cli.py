@@ -408,6 +408,25 @@ class TestOpenRun:
         assert code == 2
         assert "cannot split 1 item(s)" in err
 
+    @pytest.mark.parametrize("command", ["train-gen", "train-clf", "eval"])
+    def test_two_article_corpus_exit_2_before_training(self, trained, capsys, tmp_path,
+                                                       monkeypatch, command):
+        import stylecast.train as train_mod
+
+        root, cfg = trained
+        two = tmp_path / "two.jsonl"
+        lines = (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        two.write_text("\n".join(lines), encoding="utf-8")
+        steps = []
+        monkeypatch.setattr(train_mod, "_optimizer_step", lambda *a: steps.append(a))
+        sets = ({"out_dir": tmp_path / "out"} if command != "eval"
+                else {"checkpoint": root / "out" / "lm.ckpt", "vocab": root / "out" / "vocab.tsv"})
+        code, _, err = run_cli(capsys, command, cfg, corpus=two, **sets)
+        assert code == 2
+        assert "cannot split 2 item(s) at ratio 0.9: the validation split would be empty" in err
+        assert steps == []
+        assert not list(tmp_path.glob("out/*.ckpt"))
+
 
 def test_readme_config_in_a_fresh_directory(tmp_path, monkeypatch, capsys):
     """The README's relative paths work before out/ (or a checkpoint directory) exists."""

@@ -57,3 +57,23 @@ def test_mode_matches_a_plain_create(tmp_path):
     plain.write_bytes(b"x")
     atomic_write_bytes(tmp_path / "atomic.bin", b"x")
     assert (tmp_path / "atomic.bin").stat().st_mode == plain.stat().st_mode
+
+
+def test_data_is_fsynced_before_the_rename(tmp_path, monkeypatch):
+    target = tmp_path / "out.bin"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(fileio.os, "fsync", fsync)
+    monkeypatch.setattr(fileio.os, "replace", replace)
+    atomic_write_bytes(target, b"x" * 1000)
+    assert events == [("fsync", 1000), ("replace", "out.bin")]
+    assert target.read_bytes() == b"x" * 1000

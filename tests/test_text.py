@@ -85,6 +85,34 @@ class TestLoadJsonl:
         with pytest.raises(CorpusError):
             load_jsonl(tmp_path / "missing.jsonl")
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e",
+                                     "\x0b", "\x0c"])
+    def test_only_newline_and_carriage_return_end_a_line(self, tmp_path, sep):
+        p = tmp_path / "c.jsonl"
+        lines = [json.dumps(valid_row(main_title=f"a{sep}b"), ensure_ascii=False),
+                 f"{{broken{sep}x", json.dumps(valid_row(main_title="c"))]
+        p.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r" + lines[1].encode())
+        articles, report = load_jsonl(p)
+        assert [a.main_title for a in articles] == [f"a{sep}b", "c"]
+        assert [r.split(":")[0] for r in report] == ["line 2", "line 4"]
+
+    def test_non_utf8_line_skipped_and_reported(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        good = json.dumps(valid_row(main_title="kept")).encode()
+        p.write_bytes(b"\n".join([good, b'{"main_title": "\xff\xfe"}', good]))
+        articles, report = load_jsonl(p)
+        assert [a.main_title for a in articles] == ["kept", "kept"]
+        assert report == ["line 2: not valid UTF-8"]
+
+    @pytest.mark.parametrize("line", ["[" * 5000, '{"label": ' + "1" * 5000 + "}"],
+                             ids=["deep nesting", "overlong int"])
+    def test_json_the_parser_refuses_is_invalid_json(self, tmp_path, line):
+        p = tmp_path / "c.jsonl"
+        p.write_text(line + "\n" + json.dumps(valid_row()), encoding="utf-8")
+        articles, report = load_jsonl(p)
+        assert len(articles) == 1
+        assert len(report) == 1 and report[0].startswith("line 1: invalid JSON")
+
 
 class TestVocab:
     def test_first_occurrence_ids(self):
@@ -196,6 +224,12 @@ class TestVocabLoad:
         with pytest.raises(CorpusError, match=re.escape(str(p)) + ".*6..28 without gaps"):
             Vocab.load(p)
 
+    def test_non_utf8_file_is_corpus_error(self, tmp_path):
+        p = tmp_path / "v.tsv"
+        p.write_bytes(b"6\t61\n7\t\xff\n")
+        with pytest.raises(CorpusError, match="not valid UTF-8"):
+            Vocab.load(p)
+
     def test_sha256_is_the_hash_of_the_saved_file(self, tmp_path):
         v = build_vocab(make_articles(10))
         v.save(tmp_path / "v.tsv")
@@ -274,3 +308,15 @@ class TestSplit:
     def test_too_few_items(self):
         with pytest.raises(ValueError):
             split_shuffled([1], 0.9)
+
+    @pytest.mark.parametrize("n,ratio,side", [(0, 0.5, "training"), (1, 0.9, "validation"),
+                                              (1, 0.1, "training"), (2, 0.9, "validation"),
+                                              (3, 0.1, "training"), (19, 0.98, "validation")])
+    def test_empty_side_rejected_naming_it(self, n, ratio, side):
+        with pytest.raises(CorpusError, match=f"cannot split {n} item.*{side} split"):
+            split_shuffled(list(range(n)), ratio)
+
+    @pytest.mark.parametrize("n,ratio", [(2, 0.5), (3, 0.6), (3, 0.2), (20, 0.95)])
+    def test_smallest_splits_keep_both_sides(self, n, ratio):
+        train, val = split_shuffled(list(range(n)), ratio)
+        assert train and val and len(train) + len(val) == n

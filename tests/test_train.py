@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stylecast.model import ModelConfig, init_params
+from stylecast.checkpoint import load_checkpoint, save_checkpoint
+from stylecast.model import ModelConfig, convert_to_classifier, init_params
 from stylecast.tensor import Tensor, add
 from stylecast.text import build_vocab, split_shuffled
 from stylecast.train import (
@@ -12,7 +13,6 @@ from stylecast.train import (
     lm_batch_loss, lm_samples_from_articles, perplexity, sgd_step, train_lm,
     zero_gradients,
 )
-from stylecast.train import _constant as train_constant
 from tests.conftest import make_articles, make_regular_articles
 from tests.reference import mul, tsum
 
@@ -425,10 +425,54 @@ class TestEpochLoop:
         cfg = ModelConfig(**{**cfg.to_dict(), "dropout_rate": 0.2})
         head = {k: v for k, v in params.items() if k.startswith("head.")}
         grads = []
-        for view in (params, train_constant(params, head)):
+        for view in (params, {k: v if k in head else Tensor(v.data) for k, v in params.items()}):
             zero_gradients(params)
             clf_batch_loss(view, cfg, samples[:6], train=True,
                            rng=np.random.default_rng(3)).backward()
             grads.append({k: v.grad for k, v in head.items()})
         for k in head:
             assert np.array_equal(grads[0][k], grads[1][k]), k
+
+
+class TestOnlyTheTrainerMakesLeaves:
+    """Loaded, converted and best params are constants, and the trainers still train them."""
+
+    @pytest.fixture
+    def lm_ckpt(self, loop_setup, tmp_path):
+        cfg = loop_setup[0]
+        path = tmp_path / "lm.ckpt"
+        save_checkpoint(init_params(cfg, seed=2, zero_head=False), cfg, path)
+        return path
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_converted_checkpoint_fine_tunes(self, loop_setup, lm_ckpt, freeze):
+        _, _, clf_cfg, samples = loop_setup
+        ck = load_checkpoint(lm_ckpt)
+        params, cfg = convert_to_classifier(ck.params, ck.config, 4, clf_cfg.max_seq)
+        assert not any(t.requires_grad for t in params.values())
+        before = {k: v.data.copy() for k, v in params.items()}
+        tc = TrainConfig(learning_rate=1e-1, batch_size=4, epochs=2, seed=0,
+                         early_stop_patience=None)
+        fine_tune_classifier(samples, params, cfg, tc, freeze_backbone=freeze)
+        for name in params:
+            moved = not np.array_equal(params[name].data, before[name])
+            assert moved == (name.startswith("head.") or not freeze), name
+
+    def test_train_lm_trains_a_loaded_checkpoint(self, loop_setup, lm_ckpt):
+        _, samples, _, _ = loop_setup
+        ck = load_checkpoint(lm_ckpt)
+        before = {k: v.data.copy() for k, v in ck.params.items()}
+        tc = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=1, seed=0)
+        best, log = train_lm(samples, ck.params, ck.config, tc)
+        assert all(math.isfinite(v) for v in log.series("val", "loss"))
+        for name, data in before.items():
+            assert not np.array_equal(ck.params[name].data, data), name
+            assert np.array_equal(best[name].data, ck.params[name].data), name
+
+    def test_best_params_are_constants(self, loop_setup):
+        lm_cfg, lm, clf_cfg, clf = loop_setup
+        tc = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=1, seed=0)
+        for best, _ in (train_lm(lm, init_params(lm_cfg), lm_cfg, tc),
+                        fine_tune_classifier(clf, init_params(clf_cfg), clf_cfg, tc)):
+            for name, t in best.items():
+                assert not t.requires_grad and t._parents == (), name
