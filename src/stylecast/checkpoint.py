@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .tensor import Tensor
 
 MAGIC = b"WYN1"
 VERSION = 1
+MISMATCHES_SHOWN = 10  # tensor mismatches named in a load error; the rest are counted
 
 
 class CheckpointError(ValueError):
@@ -38,7 +39,7 @@ class Checkpoint:
 
 def save_checkpoint(params: dict[str, Tensor], config: ModelConfig,
                     path: str | Path, meta: dict | None = None) -> None:
-    header = json.dumps({"model": config.to_dict(), "meta": meta or {}},
+    header = json.dumps({"model": asdict(config), "meta": meta or {}},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(header)), header]
     for name, t in params.items():
@@ -84,7 +85,7 @@ def load_checkpoint(path: str | Path, expect_head: str | None = None) -> Checkpo
     raw_header = r.take(r.u32())
     try:
         header = json.loads(raw_header.decode("utf-8"))
-        config = ModelConfig.from_dict(header["model"])
+        config = ModelConfig(**header["model"])
     except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{p}: unreadable checkpoint header: {exc!r}") from None
     meta = header.get("meta", {})
@@ -100,13 +101,18 @@ def load_checkpoint(path: str | Path, expect_head: str | None = None) -> Checkpo
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         arr = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims).copy()
         params[name] = Tensor(arr)
+    if config.n_layers > len(params):  # each layer needs a tensor: bounds the table below
+        raise CheckpointError(f"{p}: tensors do not match the model config: the header "
+                              f"declares {config.n_layers} layers, the file holds "
+                              f"{len(params)} tensors")
     have = {name: t.data.shape for name, t in params.items()}
     want = param_shapes(config)
     if have != want:
         bad = sorted(f"{n} {have.get(n, 'missing')} vs {want.get(n, 'not in config')}"
                      for n in have.keys() | want.keys() if have.get(n) != want.get(n))
+        more = f", and {len(bad) - MISMATCHES_SHOWN} more" if len(bad) > MISMATCHES_SHOWN else ""
         raise CheckpointError(f"{p}: tensors do not match the model config (file vs config): "
-                              + ", ".join(bad))
+                              + ", ".join(bad[:MISMATCHES_SHOWN]) + more)
     if expect_head is not None and config.head_type != expect_head:
         have = params["head.w"].data.shape
         want_width = config.vocab_size if expect_head == "lm" else config.n_sections

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import text
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigValidationError, RunConfig, load_config, require_paths
+from .config import (
+    ConfigValidationError, RunConfig, _is_int, _is_num, load_config, require_paths,
+)
 from .fileio import atomic_write_text
 from .generate import GenerationError, generate
 from .model import ConfigError, clf_forward, convert_to_classifier, extract_latent, init_params
@@ -113,9 +115,9 @@ def _out_dir(cfg: RunConfig) -> Path:
     return d
 
 
-def _read_corpus(cfg: RunConfig) -> list:
+def _read_corpus(cfg: RunConfig, n_sections: int) -> list:
     require_paths(cfg, "corpus")
-    articles, report = load_jsonl(cfg.corpus, cfg.n_sections)
+    articles, report = load_jsonl(cfg.corpus, n_sections)
     for line in report:
         print(f"skipped: {line}", file=sys.stderr)
     if not articles:
@@ -162,6 +164,18 @@ def _section_id(value: str, names: list[str]) -> int:
     return sid
 
 
+# Run records in checkpoint meta -> (check, expected type).
+_META = {
+    "t_min": (_is_int, "an integer"),
+    "t_max": (_is_int, "an integer"),
+    "section_names": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                      "a list of strings"),
+    "split_ratio": (lambda v: _is_num(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    "split_seed": (_is_int, "an integer"),
+    "vocab_sha256": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _open_run(cfg: RunConfig, head: str | None, key: str = "checkpoint"):
     """(checkpoint, vocab, section names, style range, split) of the run at config `key`.
 
@@ -178,11 +192,15 @@ def _open_run(cfg: RunConfig, head: str | None, key: str = "checkpoint"):
         raise CheckpointError(
             f"checkpoint vocab size {ckpt.config.vocab_size} != vocab file {vocab.size}")
     meta = ckpt.meta
+    for name, (check, expected) in _META.items():
+        if name in meta and not check(meta[name]):
+            raise CheckpointError(f"{cfg.values[key]}: checkpoint meta {name!r} must be "
+                                  f"{expected}, got {meta[name]!r:.80}")
     trained_with = meta.get("vocab_sha256")
     if trained_with is not None and trained_with != vocab.sha256():
         raise CheckpointError(f"{cfg.values[key]} was trained with another vocab than "
                               f"{vocab_path} (sha256 differs)")
-    stats = (CorpusStats(ckpt.config.n_sections, int(meta["t_min"]), int(meta["t_max"]))
+    stats = (CorpusStats(ckpt.config.n_sections, meta["t_min"], meta["t_max"])
              if "t_min" in meta and "t_max" in meta else None)
     split = (meta.get("split_ratio", cfg.split_ratio), meta.get("split_seed", cfg.seed))
     return ckpt, vocab, meta.get("section_names", cfg.section_names), stats, split
@@ -219,7 +237,7 @@ def _save_run(cfg: RunConfig, command: str, default_ckpt: str, params, model_cfg
 
 def _cmd_ingest(args) -> int:
     cfg = _load(args)
-    articles = _read_corpus(cfg)
+    articles = _read_corpus(cfg, cfg.n_sections)
     vocab = build_vocab(articles)
     path = _vocab_path(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -233,7 +251,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_train_gen(args) -> int:
     cfg = _load(args)
-    articles = _read_corpus(cfg)
+    articles = _read_corpus(cfg, cfg.n_sections)
     vocab = _load_or_build_vocab(cfg, articles)
     stats = corpus_stats(articles, cfg.n_sections)
     model_cfg = cfg.model_config(vocab.size, "lm")
@@ -250,7 +268,7 @@ def _cmd_train_gen(args) -> int:
 
 def _cmd_train_clf(args) -> int:
     cfg = _load(args)
-    articles = _read_corpus(cfg)
+    articles = _read_corpus(cfg, cfg.n_sections)
     vocab = _load_or_build_vocab(cfg, articles)
     model_cfg = cfg.model_config(vocab.size, "classifier")
     if cfg.init_from:
@@ -300,7 +318,7 @@ def _cmd_project(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise ConfigValidationError([f"--limit: expected an integer >= 1, got {args.limit}"])
     ckpt, vocab, names, _, _ = _open_run(cfg, "classifier")
-    articles = _read_corpus(cfg)[:args.limit]
+    articles = _read_corpus(cfg, cfg.n_sections)[:args.limit]
     if len(articles) <= cfg.knn:
         raise ProjectionError(
             f"need more than knn={cfg.knn} titles to project, got {len(articles)}")
@@ -326,7 +344,7 @@ def _cmd_project(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load(args)
     ckpt, vocab, _, stats, (ratio, seed) = _open_run(cfg, None)
-    samples = _samples(ckpt.config, _read_corpus(cfg), vocab)
+    samples = _samples(ckpt.config, _read_corpus(cfg, ckpt.config.n_sections), vocab)
     _, val = text.split_shuffled(samples, ratio, seed)
     if ckpt.config.head_type == "lm":
         loss, ppl = evaluate_lm(ckpt.params, ckpt.config, val, stats)

@@ -47,6 +47,9 @@ class ModelConfig:
                  self.vocab_size, self.n_sections)
         if not all(isinstance(v, int) and v >= 1 for v in sizes):
             raise ConfigError(f"model sizes must be integers >= 1, got {sizes}")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
+            raise ConfigError(f"dropout_rate must be a number in [0, 1), got {rate!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -76,13 +79,6 @@ class ModelConfig:
         base = dict(n_layers=2, n_heads=4, d_model=64, d_ff=256, max_seq=64)
         base.update(kw)
         return cls(vocab_size=vocab_size, n_sections=n_sections, **base)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
@@ -146,11 +142,11 @@ def pad_mask(ids: np.ndarray) -> np.ndarray:
 
 
 def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str,
-                  n_heads: int, mask: np.ndarray | None,
+                  n_heads: int, mask: np.ndarray,
                   drop_rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
     """Pre-norm block over [B*T, d] rows: x + attn(LN(x)), then + FFN(LN(.)).
 
-    `mask` is the [B or 1, T or 1, T] attention mask; with none the rows are one sequence.
+    `mask` is the [B or 1, T or 1, T] attention mask.
     """
     normed = layer_norm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
     heads = attention(matmul(normed, params[prefix + "attn.wq"]),
@@ -165,19 +161,20 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str,
 
 
 def _style_rows(params: dict[str, Tensor], config: ModelConfig,
-                specs: Sequence[StyleSpec | None] | None, stats: CorpusStats | None):
+                specs: Sequence[StyleSpec | None] | None,
+                stats: CorpusStats | None) -> Tensor | None:
     if config.style_mode == "none":
         return None
     if specs is None or stats is None or any(s is None for s in specs):
         raise ConfigError(f"style mode {config.style_mode} needs a StyleSpec and CorpusStats")
     if config.style_mode == "minmax2":
-        return minmax_style(specs, stats)
+        return Tensor(minmax_style(specs, stats))
     return learned_style(specs, stats, params["style.w1"], params["style.b1"],
                          params["style.w2"], params["style.b2"])
 
 
 def backbone(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
-             mask: np.ndarray, style: Tensor | np.ndarray | None,
+             mask: np.ndarray, style: Tensor | None,
              train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Hidden rows [B*T, d_model] of a [B, T] id batch, shared by both heads.
 
@@ -260,7 +257,7 @@ def convert_to_classifier(params: dict[str, Tensor], config: ModelConfig,
     if config.style_mode != "none":
         raise ConfigError("cannot convert a styled lm to a classifier; retrain with style none")
     new_seq = min(max_seq, config.max_seq)
-    new_cfg = ModelConfig(**{**config.to_dict(), "head_type": "classifier",
+    new_cfg = ModelConfig(**{**asdict(config), "head_type": "classifier",
                              "n_sections": n_sections, "max_seq": new_seq})
     out: dict[str, Tensor] = {}
     for name, t in params.items():

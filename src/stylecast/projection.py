@@ -197,8 +197,8 @@ def _fuzzy_union(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.column_stack([lo[order], hi[order], sym[order]]).astype(np.float64)
 
 
-def optimize_layout(graph: FuzzyGraph, epochs: int = 200, seed: int = 0,
-                    labels: list[int] | None = None) -> list[LayoutPoint]:
+def optimize_layout(graph: FuzzyGraph, epochs: int = 200, seed: int = 0, *,
+                    labels: list[int]) -> list[LayoutPoint]:
     """Stochastic 2-D layout of a symmetrized fuzzy graph.
 
     Per epoch every edge pulls its endpoints together with strength
@@ -245,8 +245,7 @@ def optimize_layout(graph: FuzzyGraph, epochs: int = 200, seed: int = 0,
         emb[:, 0] += alpha * np.bincount(at, weights=step[:, 0], minlength=n)
         emb[:, 1] += alpha * np.bincount(at, weights=step[:, 1], minlength=n)
 
-    lab = labels if labels is not None else [0] * n
-    return [LayoutPoint(x, y, int(l)) for (x, y), l in zip(emb.tolist(), lab)]
+    return [LayoutPoint(x, y, int(l)) for (x, y), l in zip(emb.tolist(), labels)]
 
 
 def project_latents(latents: np.ndarray, labels: list[int], k: int = 15,

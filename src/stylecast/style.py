@@ -80,20 +80,17 @@ def learned_style(specs: Sequence[StyleSpec], stats: CorpusStats,
     return add(matmul(h, w2), b2)
 
 
-def fuse_embedding(token_embeds: Tensor, style: Tensor | np.ndarray | None,
-                   d_model: int) -> Tensor:
+def fuse_embedding(token_embeds: Tensor, style: Tensor | None, d_model: int) -> Tensor:
     """Append each sequence's style row to each of its token rows; output width d_model.
 
     token_embeds holds B sequences of equal length as [B*T, t_dim] rows;
-    style holds their [B, s_dim] rows (a 1-D array is one row).
+    style holds their [B, s_dim] rows.
     """
     t_dim = token_embeds.data.shape[1]
     if style is None:
         if t_dim != d_model:
             raise StyleError(f"token width {t_dim} != d_model {d_model} with no style")
         return token_embeds
-    if isinstance(style, np.ndarray):
-        style = Tensor(np.atleast_2d(style))
     b, s_dim = style.data.shape
     n = token_embeds.data.shape[0]
     if t_dim + s_dim != d_model or n % b:

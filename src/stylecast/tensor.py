@@ -25,6 +25,7 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+LN_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -221,20 +222,19 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
 # -- nonlinearities and losses ---------------------------------------------------
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              mask: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d_head) + mask) v over [B*T, d] rows.
 
     Head h reads columns h*d_head:(h+1)*d_head of q, k and v and writes the
     same columns of the output. `mask` is additive, [B or 1, T or 1, T],
-    and broadcast over the heads; with no mask the rows are one sequence.
+    and broadcast over the heads.
     """
     n, d = q.data.shape
-    t = n if mask is None else mask.shape[-1]
+    t = mask.shape[-1]
     if (k.data.shape != (n, d) or v.data.shape != (n, d) or d % n_heads or n % t
-            or (mask is not None and mask.ndim != 3)):
+            or mask.ndim != 3):
         raise ShapeError(f"attention: q, k, v {q.data.shape}, {k.data.shape}, {v.data.shape}, "
-                         f"{n_heads} heads, mask {None if mask is None else mask.shape}")
+                         f"{n_heads} heads, mask {mask.shape}")
     b, d_head = n // t, d // n_heads
     c = 1.0 / math.sqrt(d_head)
 
@@ -246,8 +246,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
-    if mask is not None:
-        scores += mask[:, None]
+    scores += mask[:, None]
     if not np.all(np.isfinite(scores) | np.isneginf(scores)):
         raise NumericError("attention: scores contain nan or +inf")
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -279,14 +278,14 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._node(out_data.astype(d.dtype), (x,), "gelu", backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row zero mean / unit variance, then affine gain and bias."""
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Zero mean / unit variance per row of [N, d] rows, then affine gain and bias."""
     d = x.data
+    if d.ndim != 2:
+        raise ShapeError(f"layer_norm: expected [N, d] rows, got shape {d.shape}")
     mu = d.mean(axis=-1, keepdims=True)
     var = d.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (d - mu) * inv
     out_data = xhat * gain.data + bias.data
 
@@ -295,9 +294,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, (dxhat - m1 - xhat * m2) * inv)
-        axes = tuple(range(d.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=axes) if axes else g * xhat)
-        _accumulate(bias, g.sum(axis=axes) if axes else g)
+        _accumulate(gain, (g * xhat).sum(axis=0))
+        _accumulate(bias, g.sum(axis=0))
 
     return Tensor._node(out_data.astype(d.dtype), (x, gain, bias), "layer_norm", backward)
 
@@ -365,21 +363,20 @@ def grad_check(f: Callable[[list[np.ndarray]], Tensor],
                arrays: list[np.ndarray],
                coords: list[tuple[int, int]],
                h: float = 1e-3,
-               tol: float = 1e-2,
-               oracle_dtype=np.float64) -> dict:
+               tol: float = 1e-2) -> dict:
     """Compare reverse-mode gradients of scalar f against central differences.
 
-    `f` rebuilds the graph from plain arrays so the oracle can rerun it at
-    `oracle_dtype` precision (forward evaluations only, independent of the
-    backward path). `coords` lists (array index, flat element index) pairs
-    to probe. Returns a report dict with per-coordinate relative errors.
+    `f` rebuilds the graph from plain arrays so the oracle can rerun it in
+    float64 (forward evaluations only, independent of the backward path).
+    `coords` lists (array index, flat element index) pairs to probe.
+    Returns a report dict with per-coordinate relative errors.
     """
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     loss = _run(f, leaves)
     loss.backward()
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaves]
 
-    high = [a.astype(oracle_dtype) for a in arrays]
+    high = [a.astype(np.float64) for a in arrays]
     errors = []
     for ai, flat in coords:
         probe = [a.copy() for a in high]

@@ -198,14 +198,11 @@ def format_article(a: Article, vocab: Vocab, max_len: int = LINE_LEN) -> list[in
     return ids
 
 
-def encode(text: str, vocab: Vocab, max_len: int, pad: bool = False) -> list[int]:
-    """Chars to ids, unknown chars to [UNK]; truncate, optionally right-pad."""
+def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:
+    """Chars to ids, unknown chars to [UNK], truncated to max_len."""
     if max_len < 1:
         raise ValueError("encode: max_len must be >= 1")
-    ids = [vocab.id_of(c) for c in text][:max_len]
-    if pad:
-        ids += [PAD] * (max_len - len(ids))
-    return ids
+    return [vocab.id_of(c) for c in text][:max_len]
 
 
 def encode_title(text: str, vocab: Vocab, max_len: int = TITLE_LEN) -> list[int]:

@@ -25,6 +25,11 @@ from .text import split_shuffled
 # extraction: a whole held-out set at LINE_LEN would not fit in memory.
 EVAL_BATCH = 16
 
+# AdamW moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainError(ValueError):
     pass
@@ -63,11 +68,8 @@ class MetricsLog:
     def series(self, split: str, metric: str) -> list[float]:
         return [v for e, s, m, v in self.rows if s == split and m == metric]
 
-    def to_csv(self, config_hash: str | None = None) -> str:
-        lines = []
-        if config_hash:
-            lines.append(f"# config={config_hash}")
-        lines.append("epoch,split,metric,value")
+    def to_csv(self, config_hash: str) -> str:
+        lines = [f"# config={config_hash}", "epoch,split,metric,value"]
         for e, s, m, v in self.rows:
             lines.append(f"{e},{s},{m},{v!r}")
         return "\n".join(lines) + "\n"
@@ -123,14 +125,13 @@ class AdamWState:
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> None:
     """Bias-corrected Adam update plus decoupled decay p <- p - lr*wd*p."""
     if state is None:
         raise TrainError("adamw_step: optimizer state is required")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         if p.grad is None:
             raise TrainError(f"adamw_step: parameter {name!r} has no gradient")
@@ -139,11 +140,11 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if weight_decay:
             p.data -= (lr * weight_decay) * p.data
         p.data -= (lr * update).astype(p.data.dtype)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -54,6 +55,17 @@ def make_articles(n: int, n_sections: int = 4, seed: int = 0,
             author=f"author-{label}", release_time=1_000_000_000 + i * 86_400,
             tags=[f"tag{label}"]))
     return arts
+
+
+def rewrite_header(path, out, model=None, meta=None):
+    """Copy the checkpoint at `path` to `out` with header keys replaced, bypassing the writer."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    raw = json.dumps({"model": {**header["model"], **(model or {})},
+                      "meta": {**header["meta"], **(meta or {})}}).encode("utf-8")
+    out.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n:])
+    return out
 
 
 @pytest.fixture(scope="session")

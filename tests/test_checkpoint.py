@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from stylecast.model import (
     ModelConfig, clf_forward, extract_latent, init_params, lm_forward, param_shapes,
 )
 from stylecast.tensor import Tensor
+from tests.conftest import rewrite_header
 
 
 def desk(head_type="lm"):
@@ -147,6 +150,34 @@ class TestCorruption:
         p.write_bytes(p.read_bytes() + tail)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(p)
+
+
+class TestDeclaredSizeIsBounded:
+    """A header cannot make the reader build a table larger than the file it read."""
+
+    @pytest.mark.parametrize("tensors", ["all", "none"])
+    def test_million_layers_fail_fast_with_a_short_message(self, tmp_path, tensors):
+        cfg = desk()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=6) if tensors == "all" else {}, cfg, p)
+        bad = rewrite_header(p, tmp_path / "bad.ckpt", {"n_layers": 10 ** 6})
+        t0 = time.perf_counter()
+        with pytest.raises(CheckpointError, match="do not match the model config") as err:
+            load_checkpoint(bad)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(str(err.value)) < 2000
+        assert "1000000 layers" in str(err.value)
+
+    def test_mismatch_list_is_capped(self, tmp_path):
+        cfg = desk()  # 2 layers: 32 tensors in the file
+        save_checkpoint(init_params(cfg, seed=6), cfg, tmp_path / "m.ckpt")
+        bad = rewrite_header(tmp_path / "m.ckpt", tmp_path / "bad.ckpt", {"n_layers": 30})
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(bad)
+        msg = str(err.value)
+        assert "and 326 more" in msg  # 28 missing layers of 12 tensors, 10 named
+        assert len(re.findall(r"missing vs", msg)) == 10
+        assert len(msg) < 2000
 
 
 class TestLoadedParamsAreConstants:

@@ -7,7 +7,7 @@ import pytest
 from stylecast.checkpoint import load_checkpoint, save_checkpoint
 from stylecast.cli import dispatch
 from stylecast.text import Vocab
-from tests.conftest import make_regular_articles
+from tests.conftest import make_regular_articles, rewrite_header
 
 TINY = {
     "n_layers": 1, "n_heads": 2, "d_model": 16, "d_ff": 32, "max_seq": 24,
@@ -426,6 +426,60 @@ class TestOpenRun:
         assert "cannot split 2 item(s) at ratio 0.9: the validation split would be empty" in err
         assert steps == []
         assert not list(tmp_path.glob("out/*.ckpt"))
+
+
+@pytest.fixture(scope="module")
+def more_lms(trained):
+    """`trained`, plus an unstyled lm at out/none.ckpt and a learned10 lm at out/learned10.ckpt."""
+    root, cfg = trained
+    for mode in ("none", "learned10"):
+        assert dispatch(["train-gen", "--config", str(cfg), "--set", f"style_mode={mode}",
+                         "--set", f"checkpoint={root / 'out' / f'{mode}.ckpt'}"]) == 0
+    return root, cfg
+
+
+class TestRunRecords:
+    """A run record of the wrong type or range is a data error naming it, never a crash."""
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("t_min", "abc", "generate"), ("t_min", "abc", "eval"), ("t_max", 1.5, "generate"),
+        ("section_names", 5, "generate"), ("section_names", [1], "generate"),
+        ("split_ratio", "x", "eval"), ("split_ratio", 7, "eval"), ("split_ratio", True, "eval"),
+        ("split_seed", "0", "eval"), ("vocab_sha256", 5, "eval"),
+    ])
+    def test_mistyped_meta_exit_2(self, trained, capsys, tmp_path, key, value, command):
+        root, cfg = trained
+        bad = rewrite_header(root / "out" / "lm.ckpt", tmp_path / "bad.ckpt", meta={key: value})
+        argv = ["--prompt", "ab", "--section", "1"] if command == "generate" else []
+        code, _, err = run_cli(capsys, command, cfg, *argv, checkpoint=bad)
+        assert code == 2, err
+        assert f"meta {key!r}" in err and str(bad) in err
+
+    @pytest.mark.parametrize("rate", ["x", 5.0])
+    def test_init_from_bad_dropout_rate_exit_2(self, more_lms, capsys, tmp_path, rate):
+        root, cfg = more_lms
+        bad = rewrite_header(root / "out" / "none.ckpt", tmp_path / "bad.ckpt",
+                             model={"dropout_rate": rate})
+        code, _, err = run_cli(capsys, "train-clf", cfg, init_from=bad, out_dir=tmp_path / "out")
+        assert code == 2, err
+        assert "dropout_rate" in err
+
+    @pytest.mark.parametrize("ckpt", ["clf.ckpt", "learned10.ckpt"])
+    def test_eval_reads_labels_against_the_checkpoint(self, more_lms, capsys, tmp_path, ckpt):
+        root, cfg = more_lms
+        rows = (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        wide = [json.dumps({**json.loads(r), "label": 4 + i % 2}) for i, r in enumerate(rows)]
+        corpus = tmp_path / "wide.jsonl"
+        corpus.write_text("\n".join(wide), encoding="utf-8")
+        sets = dict(checkpoint=root / "out" / ckpt, corpus=corpus, n_sections=6,
+                    section_names="null")
+        code, _, err = run_cli(capsys, "eval", cfg, **sets)
+        assert code == 2, err
+        assert "label 4 out of range [0, 4)" in err and "label 5 out of range [0, 4)" in err
+        corpus.write_text("\n".join(rows + wide), encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", cfg, **sets)
+        assert code == 0, err
+        assert "label 4 out of range [0, 4)" in err and out.startswith("val_")
 
 
 def test_readme_config_in_a_fresh_directory(tmp_path, monkeypatch, capsys):

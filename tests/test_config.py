@@ -3,6 +3,9 @@ import json
 import pytest
 
 from stylecast.config import ConfigValidationError, load_config, validate_config
+from stylecast.generate import SamplingPolicy
+from stylecast.model import ModelConfig
+from stylecast.train import TrainConfig
 
 
 class TestValidate:
@@ -14,6 +17,13 @@ class TestValidate:
         assert cfg.split_ratio == 0.9
         assert cfg.n_layers == 2 and cfg.d_model == 64
         assert cfg.knn == 15 and cfg.layout_epochs == 200
+
+    def test_defaults_agree_with_the_dataclasses(self):
+        """The schema repeats the dataclasses' defaults: a change to one side must reach both."""
+        cfg = validate_config("{}")
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.sampling_policy() == SamplingPolicy()
+        assert cfg.model_config(30, "lm") == ModelConfig.desk_scale(30, style_mode=cfg.style_mode)
 
     def test_split_ratio_range_error_names_field(self):
         with pytest.raises(ConfigValidationError, match="split_ratio"):

@@ -48,6 +48,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             desk_config(head_type="classifier", style_mode="minmax2")
 
+    @pytest.mark.parametrize("rate", ["x", None, True, -0.1, 1.0, 5.0, float("nan")])
+    def test_dropout_rate_outside_zero_to_one_rejected(self, rate):
+        with pytest.raises(ConfigError, match="dropout_rate"):
+            desk_config(dropout_rate=rate)
+
+    @pytest.mark.parametrize("rate", [0, 0.0, 0.5, 0.999])
+    def test_dropout_rate_in_zero_to_one_accepted(self, rate):
+        assert desk_config(dropout_rate=rate).dropout_rate == rate
+
 
 class TestCausalMask:
     def test_single_position(self):
@@ -71,7 +80,8 @@ class TestAttentionHead:
     def test_single_token_returns_its_value(self):
         x = rand((1, 8), seed=1)
         wq, wk, wv = rand((8, 4), 2), rand((8, 4), 3), rand((8, 4), 4)
-        out = attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), 1)
+        out = attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), 1,
+                        np.zeros((1, 1, 1), np.float32))
         assert np.allclose(out.data, matmul(x, wv).data, atol=1e-6)
 
     def test_identical_keys_split_attention_evenly(self):
@@ -79,7 +89,8 @@ class TestAttentionHead:
         wk = Tensor(np.zeros((2, 2), dtype=np.float32))  # all keys identical
         wq = rand((2, 2), 5)
         wv = rand((2, 2), 6)
-        out = attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), 1)
+        out = attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), 1,
+                        np.zeros((1, 1, 2), np.float32))
         v = matmul(x, wv).data
         assert np.allclose(out.data, 0.5 * (v[0] + v[1]), atol=1e-6)
 
@@ -109,7 +120,7 @@ class TestEncoderBlock:
             if name.startswith("layer0."):
                 p.data[:] = 0.0
         x = rand((5, 64), seed=11)
-        out = encoder_block(x, params, "layer0.", cfg.n_heads, None)
+        out = encoder_block(x, params, "layer0.", cfg.n_heads, np.zeros((1, 1, 5), np.float32))
         assert np.allclose(out.data, x.data)
 
     def test_shape_contract(self):

@@ -258,7 +258,7 @@ class TestLayout:
                         [100.0, 100.0, 100.0], [100.0, 100.0, 100.0],
                         [200.0, 0.0, 100.0], [200.0, 0.0, 100.0]])
         g = fuzzy_knn_graph(pts, k=2)
-        points = optimize_layout(g, epochs=300, seed=1)
+        points = optimize_layout(g, epochs=300, seed=1, labels=[0] * 6)
         d01 = math.dist((points[0].x, points[0].y), (points[1].x, points[1].y))
         assert d01 < 0.2  # below 2 * min_dist for the a=1.58, b=0.9 curve
 
@@ -281,7 +281,7 @@ class TestLayout:
                            weights=np.zeros((0, 2)), rhos=np.zeros(0), sigmas=np.zeros(0),
                            sym_edges=[])
         with pytest.raises(ProjectionError):
-            optimize_layout(empty)
+            optimize_layout(empty, labels=[])
 
 
 @pytest.fixture(scope="module")

@@ -89,7 +89,8 @@ class TestFuse:
 
     def test_width_766_plus_2(self):
         tok = Tensor(np.zeros((5, 766), dtype=np.float32))
-        assert fuse_embedding(tok, np.zeros(2, dtype=np.float32), 768).data.shape == (5, 768)
+        sty = Tensor(np.zeros((1, 2), dtype=np.float32))
+        assert fuse_embedding(tok, sty, 768).data.shape == (5, 768)
 
     def test_none_mode_identity(self):
         tok = Tensor(np.arange(20, dtype=np.float32).reshape(4, 5))
@@ -100,21 +101,21 @@ class TestFuse:
         rng = np.random.default_rng(2)
         tok = Tensor(rng.standard_normal((7, 6)).astype(np.float32))
         sty = rng.standard_normal(2).astype(np.float32)
-        out = fuse_embedding(tok, sty, 8).data
+        out = fuse_embedding(tok, Tensor(np.atleast_2d(sty)), 8).data
         for r in range(7):
             assert out[r, 6:].tobytes() == sty.tobytes()
 
     def test_each_sequence_gets_its_own_row(self):
         tok = Tensor(np.zeros((6, 3), dtype=np.float32))
         sty = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        out = fuse_embedding(tok, sty, 5).data
+        out = fuse_embedding(tok, Tensor(sty), 5).data
         assert np.array_equal(out[:3, 3:], np.tile(sty[0], (3, 1)))
         assert np.array_equal(out[3:, 3:], np.tile(sty[1], (3, 1)))
 
     def test_width_mismatch_rejected(self):
         tok = Tensor(np.zeros((3, 6), dtype=np.float32))
         with pytest.raises(StyleError):
-            fuse_embedding(tok, np.zeros(3, dtype=np.float32), 8)
+            fuse_embedding(tok, Tensor(np.zeros((1, 3), dtype=np.float32)), 8)
         with pytest.raises(StyleError):
             fuse_embedding(tok, None, 8)
 

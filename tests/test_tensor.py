@@ -6,7 +6,7 @@ import pytest
 
 from stylecast import tensor as T
 from stylecast.tensor import (
-    Tensor, add, cross_entropy_mean, gelu, grad_check, layer_norm, matmul, token_nll,
+    ShapeError, Tensor, add, cross_entropy_mean, gelu, grad_check, layer_norm, matmul, token_nll,
 )
 from tests.reference import mul, softmax, tsum
 
@@ -77,20 +77,20 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_constant_row_absorbed_by_eps(self):
-        out = layer_norm(t([5.0, 5.0, 5.0]), t([1.0, 1.0, 1.0]), t([0.0, 0.0, 0.0]))
+        out = layer_norm(t([[5.0, 5.0, 5.0]]), t([1.0, 1.0, 1.0]), t([0.0, 0.0, 0.0]))
         assert np.allclose(out.data, [0.0, 0.0, 0.0])
 
     def test_two_point_row(self):
-        out = layer_norm(t([1.0, 3.0]), t([1.0, 1.0]), t([0.0, 0.0]), eps=1e-12)
+        out = layer_norm(t([[1.0, 3.0]]), t([1.0, 1.0]), t([0.0, 0.0]))
         assert np.allclose(out.data, [-1.0, 1.0], atol=1e-4)
 
     def test_zero_gain_gives_bias(self):
         out = layer_norm(t([[1.0, 2.0, 3.0]]), t([0.0, 0.0, 0.0]), t([4.0, 4.0, 4.0]))
         assert np.allclose(out.data, [[4.0, 4.0, 4.0]])
 
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            layer_norm(t([1.0, 2.0]), t([1.0, 1.0]), t([0.0, 0.0]), eps=0.0)
+    def test_one_d_row_rejected(self):
+        with pytest.raises(ShapeError):
+            layer_norm(t([1.0, 2.0]), t([1.0, 1.0]), t([0.0, 0.0]))
 
 
 class TestCrossEntropy:

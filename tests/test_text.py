@@ -238,10 +238,6 @@ class TestVocabLoad:
 
 
 class TestEncodeDecode:
-    def test_encode_pads(self):
-        v = build_vocab([article(title="ab", sub="", body="")])
-        assert encode("ab", v, 4, pad=True) == [6, 7, PAD, PAD]
-
     def test_unknown_char_maps_to_unk(self):
         v = build_vocab([article(title="ab", sub="", body="")])
         assert encode("aZ", v, 4) == [6, UNK]

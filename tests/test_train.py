@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -422,7 +423,7 @@ class TestEpochLoop:
     def test_frozen_backbone_head_gradients_equal_the_full_graph(self, loop_setup):
         _, _, cfg, samples = loop_setup
         params = init_params(cfg, seed=1, zero_head=False)
-        cfg = ModelConfig(**{**cfg.to_dict(), "dropout_rate": 0.2})
+        cfg = ModelConfig(**{**asdict(cfg), "dropout_rate": 0.2})
         head = {k: v for k, v in params.items() if k.startswith("head.")}
         grads = []
         for view in (params, {k: v if k in head else Tensor(v.data) for k, v in params.items()}):

@@ -14,6 +14,12 @@ greedy and sampled generation, error messages, checkpoint bytes, the kNN
 graph (on tie-free and on duplicate points), the layout, cast points and
 SVG bytes of the projection, and the CLI's training, generation, eval and
 project commands. Wall times are left out. Takes about 5 s on one core.
+
+BLAS is pinned to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS are set to 1 before numpy is imported), as in
+perfbench/run.py: a multi-threaded BLAS may sum in another order, and
+the kNN graph, layout, casts and SVG would then differ in their last bits
+from one thread count to another.
 """
 import contextlib
 import hashlib
@@ -24,7 +30,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.conftest import make_articles, make_regular_articles  # noqa: E402
