@@ -22,7 +22,7 @@ from .config import (
     ConfigValidationError, RunConfig, _is_int, _is_num, load_config, require_paths,
 )
 from .fileio import atomic_write_text
-from .generate import GenerationError, generate
+from .generate import SAMPLE_MODES, GenerationError, generate
 from .model import ConfigError, clf_forward, convert_to_classifier, extract_latent, init_params
 from .projection import (
     ProjectionError, cast_latent, emit_scatter_svg, project_latents, write_latents,
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--prompt", default="", help="start string (opens a main title)")
     g.add_argument("--section", default=None, help="section name or id")
     g.add_argument("--time", default=None, help="ISO-8601 timestamp, e.g. 2005-06-01T00:00:00Z")
-    g.add_argument("--mode", choices=("greedy", "temperature", "top_k"), default=None)
+    g.add_argument("--mode", choices=SAMPLE_MODES, default=None)
     g.add_argument("--temperature", type=float, default=None)
     g.add_argument("--top-k", dest="top_k", type=int, default=None)
     g.add_argument("--seed", type=int, default=None, help="sampling seed")
@@ -152,15 +152,17 @@ def _parse_time(value: str) -> int:
     return int(dt.timestamp())
 
 
-def _section_id(value: str, names: list[str]) -> int:
+def _section_id(value: str, names: list[str], n_sections: int) -> int:
+    """The id of a section given by number or name; the model must have a style for it."""
     if value.isdigit() or (value.startswith("-") and value[1:].isdigit()):
         sid = int(value)
     elif value in names:
         sid = names.index(value)
     else:
         raise ConfigValidationError([f"unknown section {value!r}; known: {', '.join(names)}"])
-    if not 0 <= sid < len(names):
-        raise ConfigValidationError([f"section id {sid} out of range [0, {len(names)})"])
+    if not 0 <= sid < n_sections:
+        raise ConfigValidationError(
+            [f"section {value} is id {sid}, outside the model's sections [0, {n_sections})"])
     return sid
 
 
@@ -294,7 +296,8 @@ def _cmd_generate(args) -> int:
     if ckpt.config.style_mode != "none":
         if stats is None:
             raise CheckpointError("checkpoint lacks the corpus time range needed for style")
-        section = _section_id(args.section, names) if args.section is not None else 0
+        section = (_section_id(args.section, names, ckpt.config.n_sections)
+                   if args.section is not None else 0)
         ts = _parse_time(args.time) if args.time else stats.t_max
         spec = StyleSpec(section_id=section, timestamp=ts)
     print(generate(args.prompt, spec, cfg.sampling_policy(), ckpt.params, ckpt.config,

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .generate import SamplingPolicy
-from .model import ModelConfig
-from .train import TrainConfig
+from .generate import SAMPLE_MODES, SamplingPolicy
+from .model import DESK, ModelConfig
+from .style import STYLE_DIMS
+from .text import TITLE_LEN
+from .train import OPTIMIZERS, TrainConfig
 
 NEWS_SECTIONS = [
     "Military", "Law and Justice", "Health and Education", "World Economy",
@@ -39,40 +41,43 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# key -> (default, checker, description)
+# key -> (default, checker, description); defaults come from the code that uses them.
+_TRAIN, _SAMPLE = TrainConfig(), SamplingPolicy()
 _SCHEMA: dict = {
     "corpus": (None, lambda v: v is None or isinstance(v, str), "string path"),
     "vocab": (None, lambda v: v is None or isinstance(v, str), "string path"),
     "checkpoint": (None, lambda v: v is None or isinstance(v, str), "string path"),
     "init_from": (None, lambda v: v is None or isinstance(v, str), "string path"),
     "out_dir": ("out", lambda v: isinstance(v, str), "string path"),
-    "n_layers": (2, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "n_heads": (4, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "d_model": (64, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "d_ff": (256, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "max_seq": (64, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "title_len": (50, lambda v: _is_int(v) and v >= 4, "integer >= 4"),
-    "n_sections": (4, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "style_mode": ("minmax2", lambda v: v in ("learned10", "minmax2", "none"),
-                   "one of learned10, minmax2, none"),
-    "dropout": (0.1, lambda v: _is_num(v) and 0.0 <= v < 1.0, "number in [0, 1)"),
-    "optimizer": ("adamw", lambda v: v in ("sgd", "adamw"), "sgd or adamw"),
-    "learning_rate": (3e-4, lambda v: _is_num(v) and v > 0, "positive number"),
-    "batch_size": (32, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "epochs": (3, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "split_ratio": (0.9, lambda v: _is_num(v) and 0.0 < v < 1.0, "number in (0, 1)"),
-    "seed": (0, _is_int, "integer"),
-    "weight_decay": (0.01, lambda v: _is_num(v) and v >= 0, "nonnegative number"),
-    "grad_clip_norm": (1.0, lambda v: v is None or (_is_num(v) and v > 0),
+    "n_layers": (DESK["n_layers"], lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "n_heads": (DESK["n_heads"], lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "d_model": (DESK["d_model"], lambda v: _is_int(v) and v >= 2, "integer >= 2"),
+    "d_ff": (DESK["d_ff"], lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "max_seq": (DESK["max_seq"], lambda v: _is_int(v) and v >= 2, "integer >= 2"),
+    "title_len": (TITLE_LEN, lambda v: _is_int(v) and v >= 4, "integer >= 4"),
+    "n_sections": (DESK["n_sections"], lambda v: _is_int(v) and v >= 2, "integer >= 2"),
+    "style_mode": ("minmax2", lambda v: v in tuple(STYLE_DIMS), "one of " + ", ".join(STYLE_DIMS)),
+    "dropout": (ModelConfig.dropout_rate, lambda v: _is_num(v) and 0.0 <= v < 1.0,
+                "number in [0, 1)"),
+    "optimizer": (_TRAIN.optimizer, lambda v: v in OPTIMIZERS, " or ".join(OPTIMIZERS)),
+    "learning_rate": (_TRAIN.learning_rate, lambda v: _is_num(v) and v > 0, "positive number"),
+    "batch_size": (_TRAIN.batch_size, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "epochs": (_TRAIN.epochs, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "split_ratio": (_TRAIN.split_ratio, lambda v: _is_num(v) and 0.0 < v < 1.0,
+                    "number in (0, 1)"),
+    "seed": (_TRAIN.seed, _is_int, "integer"),
+    "weight_decay": (_TRAIN.weight_decay, lambda v: _is_num(v) and v >= 0, "nonnegative number"),
+    "grad_clip_norm": (_TRAIN.grad_clip_norm, lambda v: v is None or (_is_num(v) and v > 0),
                        "positive number or null"),
-    "early_stop_patience": (3, lambda v: v is None or (_is_int(v) and v >= 1),
+    "early_stop_patience": (_TRAIN.early_stop_patience,
+                            lambda v: v is None or (_is_int(v) and v >= 1),
                             "integer >= 1 or null"),
     "freeze_backbone": (False, lambda v: isinstance(v, bool), "boolean"),
-    "sample_mode": ("temperature", lambda v: v in ("greedy", "temperature", "top_k"),
-                    "one of greedy, temperature, top_k"),
-    "temperature": (0.8, lambda v: _is_num(v) and v > 0, "positive number"),
-    "top_k": (1, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "sample_seed": (None, lambda v: v is None or _is_int(v), "integer or null"),
+    "sample_mode": (_SAMPLE.mode, lambda v: v in SAMPLE_MODES,
+                    "one of " + ", ".join(SAMPLE_MODES)),
+    "temperature": (_SAMPLE.temperature, lambda v: _is_num(v) and v > 0, "positive number"),
+    "top_k": (_SAMPLE.k, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "sample_seed": (_SAMPLE.seed, lambda v: v is None or _is_int(v), "integer or null"),
     "knn": (15, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
     "layout_epochs": (200, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "projection_seed": (0, _is_int, "integer"),
@@ -102,13 +107,7 @@ class RunConfig:
             head_type=head_type, dropout_rate=v["dropout"])
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            optimizer=v["optimizer"], learning_rate=v["learning_rate"],
-            batch_size=v["batch_size"], epochs=v["epochs"],
-            split_ratio=v["split_ratio"], seed=v["seed"],
-            weight_decay=v["weight_decay"], grad_clip_norm=v["grad_clip_norm"],
-            early_stop_patience=v["early_stop_patience"])
+        return TrainConfig(**{f.name: self.values[f.name] for f in fields(TrainConfig)})
 
     def sampling_policy(self) -> SamplingPolicy:
         v = self.values

@@ -17,6 +17,7 @@ from .style import CorpusStats, StyleSpec
 from .tensor import Tensor
 
 TOKEN_LIMIT = 512
+SAMPLE_MODES = ("greedy", "temperature", "top_k")
 
 
 class GenerationError(ValueError):
@@ -31,7 +32,7 @@ class SamplingPolicy:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("greedy", "temperature", "top_k"):
+        if self.mode not in SAMPLE_MODES:
             raise GenerationError(f"unknown sampling mode {self.mode!r}")
         if self.temperature <= 0:
             raise GenerationError("temperature must be positive")

@@ -24,6 +24,9 @@ from .tensor import Tensor, add, attention, dropout, embedding, gelu, layer_norm
 
 NEG_INF = float("-inf")
 
+# Desk-scale sizes: the run config's defaults and ModelConfig.desk_scale's base.
+DESK = dict(n_layers=2, n_heads=4, d_model=64, d_ff=256, max_seq=64, n_sections=4)
+
 
 class ConfigError(ValueError):
     pass
@@ -45,7 +48,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         sizes = (self.n_layers, self.n_heads, self.d_model, self.d_ff, self.max_seq,
                  self.vocab_size, self.n_sections)
-        if not all(isinstance(v, int) and v >= 1 for v in sizes):
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
             raise ConfigError(f"model sizes must be integers >= 1, got {sizes}")
         rate = self.dropout_rate
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
@@ -75,10 +78,8 @@ class ModelConfig:
         return cls(vocab_size=vocab_size, n_sections=n_sections, **base)
 
     @classmethod
-    def desk_scale(cls, vocab_size: int, n_sections: int = 4, **kw) -> "ModelConfig":
-        base = dict(n_layers=2, n_heads=4, d_model=64, d_ff=256, max_seq=64)
-        base.update(kw)
-        return cls(vocab_size=vocab_size, n_sections=n_sections, **base)
+    def desk_scale(cls, vocab_size: int, **kw) -> "ModelConfig":
+        return cls(vocab_size=vocab_size, **{**DESK, **kw})
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:

@@ -197,7 +197,7 @@ def _fuzzy_union(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.column_stack([lo[order], hi[order], sym[order]]).astype(np.float64)
 
 
-def optimize_layout(graph: FuzzyGraph, epochs: int = 200, seed: int = 0, *,
+def optimize_layout(graph: FuzzyGraph, epochs: int, seed: int, *,
                     labels: list[int]) -> list[LayoutPoint]:
     """Stochastic 2-D layout of a symmetrized fuzzy graph.
 
@@ -248,8 +248,8 @@ def optimize_layout(graph: FuzzyGraph, epochs: int = 200, seed: int = 0, *,
     return [LayoutPoint(x, y, int(l)) for (x, y), l in zip(emb.tolist(), labels)]
 
 
-def project_latents(latents: np.ndarray, labels: list[int], k: int = 15,
-                    epochs: int = 200, seed: int = 0) -> ProjectionResult:
+def project_latents(latents: np.ndarray, labels: list[int], k: int, epochs: int,
+                    seed: int) -> ProjectionResult:
     """Stage 1 + stage 2 over a latent matrix, retaining it for overlays."""
     t0 = time.perf_counter()
     graph = fuzzy_knn_graph(latents, k)

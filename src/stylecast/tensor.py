@@ -216,7 +216,7 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         np.add.at(full, idx, g)
         _accumulate(table, full)
 
-    return Tensor._node(table.data[idx].copy(), (table,), "embedding", backward)
+    return Tensor._node(table.data[idx], (table,), "embedding", backward)
 
 
 # -- nonlinearities and losses ---------------------------------------------------
@@ -275,7 +275,7 @@ def gelu(x: Tensor) -> Tensor:
         deriv = 0.5 * (1.0 + t) + 0.5 * d * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * d ** 2)
         _accumulate(x, g * deriv)
 
-    return Tensor._node(out_data.astype(d.dtype), (x,), "gelu", backward)
+    return Tensor._node(out_data, (x,), "gelu", backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -297,7 +297,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accumulate(gain, (g * xhat).sum(axis=0))
         _accumulate(bias, g.sum(axis=0))
 
-    return Tensor._node(out_data.astype(d.dtype), (x, gain, bias), "layer_norm", backward)
+    return Tensor._node(out_data, (x, gain, bias), "layer_norm", backward)
 
 
 def token_nll(z: np.ndarray, targets: np.ndarray) -> np.ndarray:

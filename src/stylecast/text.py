@@ -180,22 +180,21 @@ def build_vocab(articles: list[Article]) -> Vocab:
     return Vocab(char_to_id, id_to_char)
 
 
+def _frame(ids: list[int], max_len: int) -> list[int]:
+    """ids truncated so [EOS] fits, then [EOS], right-padded with [PAD] to exactly max_len."""
+    ids = ids[:max_len - 1] + [EOS]
+    return ids + [PAD] * (max_len - len(ids))
+
+
 def format_article(a: Article, vocab: Vocab, max_len: int = LINE_LEN) -> list[int]:
     """Template the article into exactly max_len ids, [EOS] after content.
 
     Content longer than max_len - 1 tokens is truncated so [EOS] lands
     on the final position; shorter lines are right-padded with [PAD].
     """
-    ids = [SOS]
-    ids += [vocab.id_of(c) for c in a.main_title]
-    ids.append(SEP1)
-    ids += [vocab.id_of(c) for c in a.sub_title]
-    ids.append(SEP2)
-    ids += [vocab.id_of(c) for c in a.body]
-    ids = ids[:max_len - 1]
-    ids.append(EOS)
-    ids += [PAD] * (max_len - len(ids))
-    return ids
+    ids = [SOS, *map(vocab.id_of, a.main_title), SEP1, *map(vocab.id_of, a.sub_title), SEP2,
+           *map(vocab.id_of, a.body)]
+    return _frame(ids, max_len)
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:
@@ -207,11 +206,7 @@ def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:
 
 def encode_title(text: str, vocab: Vocab, max_len: int = TITLE_LEN) -> list[int]:
     """Classifier-path encoding: [SOS] chars [EOS] within the title budget, padded."""
-    ids = [SOS] + [vocab.id_of(c) for c in text]
-    ids = ids[:max_len - 1]
-    ids.append(EOS)
-    ids += [PAD] * (max_len - len(ids))
-    return ids
+    return _frame([SOS] + [vocab.id_of(c) for c in text], max_len)
 
 
 def decode(ids: list[int], vocab: Vocab) -> str:

@@ -19,7 +19,6 @@ from . import text
 from .model import ModelConfig, clf_forward, lm_forward
 from .style import CorpusStats, StyleSpec
 from .tensor import Tensor, cross_entropy_mean, token_nll
-from .text import split_shuffled
 
 # Sequences per forward in evaluate_lm, evaluate_accuracy and latent
 # extraction: a whole held-out set at LINE_LEN would not fit in memory.
@@ -29,6 +28,8 @@ EVAL_BATCH = 16
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+OPTIMIZERS = ("sgd", "adamw")
 
 
 class TrainError(ValueError):
@@ -52,7 +53,7 @@ class TrainConfig:
             raise TrainError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 < self.split_ratio < 1.0:
             raise TrainError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
-        if self.optimizer not in ("sgd", "adamw"):
+        if self.optimizer not in OPTIMIZERS:
             raise TrainError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -242,21 +243,24 @@ def _check_finite(params: dict[str, Tensor]) -> None:
             raise TrainError(f"parameter {name!r} became non-finite during training")
 
 
-def _fit(train_set: list, val_set: list, params: dict[str, Tensor], cfg: TrainConfig,
-         batch_loss, validate, trainable: dict[str, Tensor], rng: np.random.Generator,
+def _fit(samples: list, params: dict[str, Tensor], cfg: TrainConfig, batch_loss, validate,
+         trainable: dict[str, Tensor],
          max_steps: int | None = None) -> tuple[dict[str, Tensor], MetricsLog]:
     """The epoch loop both trainers share, and the only code that makes gradient leaves.
 
-    The `trainable` params become leaves. Each step backpropagates
-    batch_loss(step view, batch) over a per-epoch shuffle of train_set, the
-    view holding every other param as a constant over the same array, then
-    clips and steps the trainable `.data` in place. After each epoch
-    validate(all-constant view, val_set) returns (score, [(metric, value)]);
+    Splits samples per cfg.split_ratio/seed; one rng under cfg.seed shuffles
+    the epochs and draws dropout. The `trainable` params become leaves. Each
+    step backpropagates batch_loss(step view, batch, rng) over the training
+    split, the view holding every other param as a constant over the same
+    array, then clips and steps the trainable `.data` in place. After each
+    epoch validate(all-constant view, validation split) returns (score, [(metric, value)]);
     the metrics are logged under "val", the highest score keeps a constant
     snapshot of all params, and training stops once the score has not
     improved for early_stop_patience consecutive epochs (None disables)
     or after max_steps steps, which still validates the partial epoch.
     """
+    train_set, val_set = text.split_shuffled(samples, cfg.split_ratio, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     for p in trainable.values():
         p.requires_grad = True
     step_view = {k: v if k in trainable else Tensor(v.data) for k, v in params.items()}
@@ -274,7 +278,7 @@ def _fit(train_set: list, val_set: list, params: dict[str, Tensor], cfg: TrainCo
         for lo in range(0, len(train_set), cfg.batch_size):
             batch = [train_set[i] for i in order[lo:lo + cfg.batch_size]]
             zero_gradients(params)
-            loss = batch_loss(step_view, batch)
+            loss = batch_loss(step_view, batch, rng)
             loss.backward()
             clip_gradients(trainable, cfg.grad_clip_norm)
             _optimizer_step(trainable, cfg, state)
@@ -312,16 +316,15 @@ def train_lm(samples: list[LmSample], params: dict[str, Tensor], config: ModelCo
     """
     if not samples:
         raise TrainError("train_lm: empty corpus")
-    train_set, val_set = split_shuffled(samples, cfg.split_ratio, cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
 
     def validate(view: dict[str, Tensor], val: list[LmSample]):
         loss, ppl = evaluate_lm(view, config, val, stats)
         return -loss, [("loss", loss), ("perplexity", ppl)]
 
-    return _fit(train_set, val_set, params, cfg,
-                lambda view, batch: lm_batch_loss(view, config, batch, stats, train=True, rng=rng),
-                validate, params, rng, max_steps)
+    return _fit(samples, params, cfg,
+                lambda view, batch, rng: lm_batch_loss(view, config, batch, stats, train=True,
+                                                       rng=rng),
+                validate, params, max_steps)
 
 
 # -- classifier -------------------------------------------------------------------
@@ -355,8 +358,6 @@ def fine_tune_classifier(samples: list[ClfSample], params: dict[str, Tensor],
     """Cross-entropy fine-tuning over section labels; best validation accuracy kept."""
     if len({s.label for s in samples}) < 2:
         raise TrainError("classifier training needs at least 2 distinct labels")
-    train_set, val_set = split_shuffled(samples, cfg.split_ratio, cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
     trainable = ({k: v for k, v in params.items() if k.startswith("head.")}
                  if freeze_backbone else params)
 
@@ -364,6 +365,6 @@ def fine_tune_classifier(samples: list[ClfSample], params: dict[str, Tensor],
         acc, _ = evaluate_accuracy(view, config, val)
         return acc, [("accuracy", acc)]
 
-    return _fit(train_set, val_set, params, cfg,
-                lambda view, batch: clf_batch_loss(view, config, batch, train=True, rng=rng),
-                validate, trainable, rng)
+    return _fit(samples, params, cfg,
+                lambda view, batch, rng: clf_batch_loss(view, config, batch, train=True, rng=rng),
+                validate, trainable)

@@ -106,8 +106,8 @@ class TestCorruption:
 
 
     @pytest.mark.parametrize("kind", ["n_heads 0", "n_layers a string", "n_layers 1.5",
-                                      "d_ff -1", "unknown style", "deep nesting",
-                                      "overlong int"])
+                                      "n_layers true", "d_ff -1", "unknown style",
+                                      "deep nesting", "overlong int"])
     def test_invalid_header_values(self, tmp_path, kind):
         cfg = desk()
         p = tmp_path / "m.ckpt"
@@ -120,6 +120,7 @@ class TestCorruption:
             "n_heads 0": json.dumps({**header, "model": {**model, "n_heads": 0}}),
             "n_layers a string": json.dumps({**header, "model": {**model, "n_layers": "2"}}),
             "n_layers 1.5": json.dumps({**header, "model": {**model, "n_layers": 1.5}}),
+            "n_layers true": json.dumps({**header, "model": {**model, "n_layers": True}}),
             "d_ff -1": json.dumps({**header, "model": {**model, "d_ff": -1}}),
             "unknown style": json.dumps({**header, "model": {**model, "style_mode": "x"}}),
             "deep nesting": '{"model": ' + "[" * 5000,

@@ -464,6 +464,22 @@ class TestRunRecords:
         assert code == 2, err
         assert "dropout_rate" in err
 
+    @pytest.mark.parametrize("ckpt", ["lm.ckpt", "learned10.ckpt"])
+    def test_generate_section_outside_the_model_exit_2(self, more_lms, capsys, tmp_path, ckpt):
+        """Six names in meta do not give a four-section model a fifth or sixth style."""
+        root, cfg = more_lms
+        names = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+        bad = rewrite_header(root / "out" / ckpt, tmp_path / "six.ckpt",
+                             meta={"section_names": names})
+        for section in ("5", "zeta", "4", "-1"):
+            code, out, err = run_cli(capsys, "generate", cfg, "--prompt", "ab",
+                                     "--section", section, checkpoint=bad)
+            assert code == 2, (section, code, err)
+            assert "[0, 4)" in err and out == ""
+        code, out, err = run_cli(capsys, "generate", cfg, "--prompt", "ab", "--section", "delta",
+                                 checkpoint=bad)
+        assert code == 0, err
+
     @pytest.mark.parametrize("ckpt", ["clf.ckpt", "learned10.ckpt"])
     def test_eval_reads_labels_against_the_checkpoint(self, more_lms, capsys, tmp_path, ckpt):
         root, cfg = more_lms

@@ -281,7 +281,7 @@ class TestLayout:
                            weights=np.zeros((0, 2)), rhos=np.zeros(0), sigmas=np.zeros(0),
                            sym_edges=[])
         with pytest.raises(ProjectionError):
-            optimize_layout(empty, labels=[])
+            optimize_layout(empty, epochs=200, seed=0, labels=[])
 
 
 @pytest.fixture(scope="module")

@@ -12,8 +12,10 @@ max_steps, fine_tune_classifier for SGD and AdamW with the backbone frozen
 and not, evaluate_lm, batch losses with their gradients and graph sizes,
 greedy and sampled generation, error messages, checkpoint bytes, the kNN
 graph (on tie-free and on duplicate points), the layout, cast points and
-SVG bytes of the projection, and the CLI's training, generation, eval and
-project commands. Wall times are left out. Takes about 5 s on one core.
+SVG bytes of the projection, the run config's defaults and its message for
+a bad value of every key, and the stdout and stderr of the CLI's training,
+generation, eval and project commands. Wall times are left out, and
+STYLECAST_LOG is unset so the CLI prints none. Takes about 5 s on one core.
 
 BLAS is pinned to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS are set to 1 before numpy is imported), as in
@@ -32,13 +34,14 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ.pop("STYLECAST_LOG", None)
 
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.conftest import make_articles, make_regular_articles  # noqa: E402
 
-from stylecast import checkpoint, generate, model, projection, train  # noqa: E402
+from stylecast import checkpoint, config, generate, model, projection, train  # noqa: E402
 from stylecast.cli import dispatch  # noqa: E402
 from stylecast.style import StyleSpec  # noqa: E402
 from stylecast.text import build_vocab  # noqa: E402
@@ -190,6 +193,17 @@ def projection_records():
         print("svg", hashlib.sha256(path.read_bytes()).hexdigest()[:16])
 
 
+def config_records():
+    """The defaults of an empty config, and the problem list of a config that breaks every key."""
+    values = config.validate_config("{}").values
+    print("config defaults", values)
+    try:
+        config.validate_config(json.dumps({key: [[]] for key in values}))
+    except config.ConfigValidationError as exc:
+        for problem in exc.problems:
+            print("config problem", problem)
+
+
 def command_line(arts):
     """Relative paths keep the config hash, and so the checkpoint bytes, path-independent."""
     lm, clf = "checkpoint=out/lm.ckpt", "checkpoint=out/clf.ckpt"
@@ -212,21 +226,22 @@ def command_line(arts):
                          ["generate", "--prompt", "ab", "--temperature", "-1", "--set", lm],
                          ["generate", "--prompt", "ab", "--top-k", "0", "--set", lm],
                          ["eval", "--set", lm], ["eval", "--set", clf]):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = dispatch([argv[0], "--config", "run.json"] + argv[1:])
-                print("cli", argv[0], code, repr(out.getvalue()))
+                print("cli", argv[0], code, repr(out.getvalue()), repr(err.getvalue()))
             for name in ("lm.ckpt", "clf.ckpt"):
                 print("cli ckpt", name, hashlib.sha256(Path("out", name).read_bytes()).hexdigest())
             for name in ("train-gen-metrics.csv", "train-clf-metrics.csv"):
                 print("cli csv", name, [ln for ln in Path("out", name).read_text().splitlines()
                                         if "wall_time" not in ln])
-            with contextlib.redirect_stdout(io.StringIO()):
+            err = io.StringIO()  # stdout holds the stage times
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = dispatch(["project", "--config", "run.json", "--cast", "ab",
                                  "--cast", "ba ab", "--set", clf])
-            print("cli project", code, *(hashlib.sha256(Path("out", name).read_bytes())
-                                         .hexdigest()[:16]
-                                         for name in ("latents.bin", "scatter.svg")))
+            print("cli project", code, repr(err.getvalue()),
+                  *(hashlib.sha256(Path("out", name).read_bytes()).hexdigest()[:16]
+                    for name in ("latents.bin", "scatter.svg")))
         finally:
             os.chdir(here)
 
@@ -236,4 +251,5 @@ if __name__ == "__main__":
     language_model(lm_arts)
     classifier(make_articles(40))
     projection_records()
+    config_records()
     command_line(lm_arts)
