@@ -1,8 +1,9 @@
-"""Autoregressive styled text generation by recursive model feeding.
+"""Autoregressive styled text generation with a key/value cache.
 
-Each step re-runs the full forward over the sequence so far (no cache),
-appends one sampled token, and stops at the first [EOS] or at the
-512-token ceiling (the model's own max_seq if smaller).
+One forward runs the prompt and fills the cache; each later step runs
+only the last sampled token against the cached keys and values, appends
+one sampled token, and stops at the first [EOS] or at the 512-token
+ceiling (the model's own max_seq if smaller).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import text
-from .model import ConfigError, ModelConfig, lm_forward
+from .model import ConfigError, KVCache, ModelConfig, lm_forward
 from .style import CorpusStats, StyleSpec
 from .tensor import Tensor
 
@@ -75,9 +76,10 @@ def generate(prompt: str, spec: StyleSpec | None, policy: SamplingPolicy,
         raise GenerationError(
             f"prompt of {len(ids) - 1} tokens leaves no room under the {limit}-token limit")
     rng = np.random.default_rng(policy.seed)
+    cache = KVCache(config, dtype=params["tok_emb"].data.dtype)
     prompt_len = len(ids)
     while len(ids) < limit:
-        logits = lm_forward(params, config, ids, spec, stats).data[-1]
+        logits = lm_forward(params, config, ids[cache.length:], spec, stats, cache=cache).data[-1]
         nxt = sample_next(logits, policy, rng)
         ids.append(nxt)
         if nxt == text.EOS:

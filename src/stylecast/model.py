@@ -6,6 +6,9 @@ classifier runs it unmasked (pads attention-masked out) under a section
 head read at each sequence's last non-pad position. Pre-norm residual
 ordering throughout. The forwards take one id sequence or a [B, T] batch;
 one sequence is a batch of one with the batch axis dropped from the result.
+At inference the lm forward can take a `KVCache`: it then runs only the
+new positions of each sequence, attending over the keys and values the
+cache holds for the earlier ones, which is how `generate` decodes.
 """
 
 from __future__ import annotations
@@ -125,13 +128,16 @@ def init_params(config: ModelConfig, seed: int = 0,
 # -- masks ----------------------------------------------------------------------
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """[n, n] additive mask: 0 where j <= i, -inf above the diagonal."""
-    if n < 1:
-        raise ValueError("causal_mask: n must be >= 1")
-    m = np.zeros((n, n), dtype=np.float32)
-    m[np.triu_indices(n, k=1)] = NEG_INF
-    return m
+def causal_mask(n: int, start: int = 0) -> np.ndarray:
+    """[n, start + n] additive mask of query positions start..start+n-1 over keys 0..start+n-1.
+
+    0 where key j <= query position i, -inf after it; start 0 gives the
+    square mask, -inf above the diagonal.
+    """
+    if n < 1 or start < 0:
+        raise ValueError(f"causal_mask: need n >= 1 and start >= 0, got n={n}, start={start}")
+    keys = np.arange(start + n)
+    return np.where(keys[None, :] > keys[start:, None], NEG_INF, 0.0).astype(np.float32)
 
 
 def pad_mask(ids: np.ndarray) -> np.ndarray:
@@ -139,20 +145,52 @@ def pad_mask(ids: np.ndarray) -> np.ndarray:
     return np.where(ids == text.PAD, NEG_INF, 0.0).astype(np.float32)[:, None, :]
 
 
+# -- key/value cache --------------------------------------------------------------
+
+
+class KVCache:
+    """Keys and values of the positions already run, for inference only.
+
+    Each block (by its parameter prefix) owns a preallocated [B, max_seq,
+    d_model] K and V array; positions [0, length) of them are filled. A
+    forward over t new positions writes rows length..length+t-1 of every
+    block, then `backbone` advances length by t.
+    """
+
+    def __init__(self, config: ModelConfig, batch: int = 1, dtype=np.float32):
+        shape = (batch, config.max_seq, config.d_model)
+        self.kv = {f"layer{i}.": (np.zeros(shape, dtype), np.zeros(shape, dtype))
+                   for i in range(config.n_layers)}
+        self.batch, self.max_seq, self.length = batch, config.max_seq, 0
+
+    def extend(self, prefix: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Store one block's new [B*t, d] key and value rows; return all filled rows as constants."""
+        keys, values = self.kv[prefix]
+        b, _, d = keys.shape
+        stop = self.length + k.data.shape[0] // b
+        keys[:, self.length:stop] = k.data.reshape(b, -1, d)
+        values[:, self.length:stop] = v.data.reshape(b, -1, d)
+        return Tensor(keys[:, :stop].reshape(-1, d)), Tensor(values[:, :stop].reshape(-1, d))
+
+
 # -- forward pieces ---------------------------------------------------------------
 
 
 def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str,
                   n_heads: int, mask: np.ndarray,
-                  drop_rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+                  drop_rate: float = 0.0, rng: np.random.Generator | None = None,
+                  cache: KVCache | None = None) -> Tensor:
     """Pre-norm block over [B*T, d] rows: x + attn(LN(x)), then + FFN(LN(.)).
 
-    `mask` is the [B or 1, T or 1, T] attention mask.
+    `mask` is the [B or 1, T or 1, Tk] attention mask. Without a cache
+    Tk is T; with one, the rows are positions cache.length.. and attend
+    over all Tk = cache.length + T keys the cache then holds.
     """
     normed = layer_norm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
-    heads = attention(matmul(normed, params[prefix + "attn.wq"]),
-                      matmul(normed, params[prefix + "attn.wk"]),
-                      matmul(normed, params[prefix + "attn.wv"]), n_heads, mask)
+    q, k, v = (matmul(normed, params[prefix + w]) for w in ("attn.wq", "attn.wk", "attn.wv"))
+    if cache is not None:
+        k, v = cache.extend(prefix, k, v)
+    heads = attention(q, k, v, n_heads, mask)
     x = add(x, dropout(matmul(heads, params[prefix + "attn.wo"]), drop_rate, rng))
 
     normed = layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
@@ -176,19 +214,32 @@ def _style_rows(params: dict[str, Tensor], config: ModelConfig,
 
 def backbone(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
              mask: np.ndarray, style: Tensor | None,
-             train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+             train: bool = False, rng: np.random.Generator | None = None,
+             cache: KVCache | None = None) -> Tensor:
     """Hidden rows [B*T, d_model] of a [B, T] id batch, shared by both heads.
 
     Token plus position embeddings, fused with each sequence's style row,
     input dropout, the encoder blocks under `mask`, then the final layer norm.
+    With a cache the ids continue its sequences: positions start at
+    cache.length, and the blocks attend over the cached keys too.
     """
     b, t = ids.shape
+    start = 0
+    if cache is not None:
+        if train:
+            raise ValueError("a KV cache is for inference only; training runs without one")
+        if b != cache.batch or cache.length + t > cache.max_seq:
+            raise ValueError(f"{b} x {t} ids do not fit a cache of {cache.batch} sequences "
+                             f"holding {cache.length} of {cache.max_seq} positions")
+        start = cache.length
     drop = config.dropout_rate if train else 0.0
     tok = embedding(params["tok_emb"], ids.reshape(-1))
-    pos = embedding(params["pos_emb"], np.tile(np.arange(t), b))
+    pos = embedding(params["pos_emb"], np.tile(np.arange(start, start + t), b))
     h = dropout(fuse_embedding(add(tok, pos), style, config.d_model), drop, rng)
     for i in range(config.n_layers):
-        h = encoder_block(h, params, f"layer{i}.", config.n_heads, mask, drop, rng)
+        h = encoder_block(h, params, f"layer{i}.", config.n_heads, mask, drop, rng, cache)
+    if cache is not None:
+        cache.length += t
     return layer_norm(h, params["ln_f.g"], params["ln_f.b"])
 
 
@@ -205,17 +256,22 @@ def _batch(config: ModelConfig, ids) -> tuple[np.ndarray, bool]:
 def lm_forward(params: dict[str, Tensor], config: ModelConfig, ids,
                spec: StyleSpec | Sequence[StyleSpec] | None = None,
                stats: CorpusStats | None = None,
-               train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+               train: bool = False, rng: np.random.Generator | None = None,
+               cache: KVCache | None = None) -> Tensor:
     """Causal logits: [T, vocab_size] for one id sequence, [B*T, vocab_size] for a [B, T] batch.
 
     A batch takes one StyleSpec per sequence. logits[i] depends only on
-    ids[..i] of its own sequence and that sequence's style.
+    ids[..i] of its own sequence and that sequence's style. With a cache
+    (inference only) the ids continue the sequences it holds, and it
+    takes their keys and values in turn.
     """
     if config.head_type != "lm":
         raise ConfigError("lm_forward on a classifier-headed model")
     batch, single = _batch(config, ids)
     style = _style_rows(params, config, [spec] if single else spec, stats)
-    h = backbone(params, config, batch, causal_mask(batch.shape[1])[None], style, train, rng)
+    start = 0 if cache is None else cache.length
+    h = backbone(params, config, batch, causal_mask(batch.shape[1], start)[None], style, train,
+                 rng, cache)
     return add(matmul(h, params["head.w"]), params["head.b"])
 
 
@@ -249,7 +305,7 @@ def extract_latent(params: dict[str, Tensor], config: ModelConfig, ids) -> Tenso
 
 
 def convert_to_classifier(params: dict[str, Tensor], config: ModelConfig,
-                          n_sections: int, max_seq: int = text.TITLE_LEN) -> tuple[dict[str, Tensor], ModelConfig]:
+                          n_sections: int, max_seq: int) -> tuple[dict[str, Tensor], ModelConfig]:
     """Swap the lm head for a blank section head, keeping the backbone, as constants.
 
     Only style-free models convert: a styled backbone's token width

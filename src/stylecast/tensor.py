@@ -223,26 +223,28 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(d_head) + mask) v over [B*T, d] rows.
+    """Multi-head softmax(q k^T / sqrt(d_head) + mask) v over [B*Tq, d] query rows.
 
-    Head h reads columns h*d_head:(h+1)*d_head of q, k and v and writes the
-    same columns of the output. `mask` is additive, [B or 1, T or 1, T],
-    and broadcast over the heads.
+    k and v are [B*Tk, d] rows, Tk >= Tq when queries continue a cached
+    prefix. Head h reads columns h*d_head:(h+1)*d_head of q, k and v and
+    writes the same columns of the output. `mask` is additive,
+    [B or 1, Tq or 1, Tk], and broadcast over the heads.
     """
     n, d = q.data.shape
-    t = mask.shape[-1]
-    if (k.data.shape != (n, d) or v.data.shape != (n, d) or d % n_heads or n % t
-            or mask.ndim != 3):
+    rows, tk = k.data.shape[0], mask.shape[-1]
+    b = rows // tk if tk else 0
+    if (mask.ndim != 3 or not b or rows % tk or n % b or k.data.shape != v.data.shape
+            or k.data.shape[1] != d or d % n_heads):
         raise ShapeError(f"attention: q, k, v {q.data.shape}, {k.data.shape}, {v.data.shape}, "
                          f"{n_heads} heads, mask {mask.shape}")
-    b, d_head = n // t, d // n_heads
+    d_head = d // n_heads
     c = 1.0 / math.sqrt(d_head)
 
     def split(x: np.ndarray) -> np.ndarray:  # [B*T, d] -> [B, H, T, d_head]
-        return x.reshape(b, t, n_heads, d_head).transpose(0, 2, 1, 3)
+        return x.reshape(b, -1, n_heads, d_head).transpose(0, 2, 1, 3)
 
     def merge(x: np.ndarray) -> np.ndarray:  # [B, H, T, d_head] -> [B*T, d]
-        return x.transpose(0, 2, 1, 3).reshape(n, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * c

@@ -88,14 +88,13 @@ class ClfSample:
     label: int
 
 
-def lm_samples_from_articles(articles, vocab, max_len: int = text.LINE_LEN,
-                             styled: bool = True) -> list[LmSample]:
+def lm_samples_from_articles(articles, vocab, max_len: int, styled: bool = True) -> list[LmSample]:
     return [LmSample(text.format_article(a, vocab, max_len),
                      StyleSpec(a.label, a.release_time) if styled else None)
             for a in articles]
 
 
-def clf_samples_from_articles(articles, vocab, max_len: int = text.TITLE_LEN) -> list[ClfSample]:
+def clf_samples_from_articles(articles, vocab, max_len: int) -> list[ClfSample]:
     return [ClfSample(text.encode_title(a.main_title, vocab, max_len), a.label)
             for a in articles]
 

@@ -6,7 +6,8 @@ style vector tiled over the rows, and the classifier row found by a scan
 for the last non-pad id. Tests compare the batched `stylecast` code
 against it; nothing in the package imports it. It also holds the
 elementwise product, full sum and softmax ops that only tests build
-graphs with.
+graphs with, and generation as it ran before the key/value cache: the
+full forward re-run over the whole context for every new token.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from stylecast import text
+from stylecast import model, text
+from stylecast.generate import TOKEN_LIMIT, sample_next
 from stylecast.model import causal_mask
 from stylecast.tensor import (
     NumericError, ShapeError, Tensor, _accumulate, add, concat_cols, cross_entropy_mean,
@@ -189,3 +191,21 @@ def confusion(params, config, samples) -> np.ndarray:
     for s in samples:
         out[s.label, int(np.argmax(clf_forward(params, config, s.ids).data))] += 1
     return out
+
+
+def generate_refeed(prompt, spec, policy, params, config, vocab, stats=None) -> str:
+    """generate.generate by full refeed: the whole context through model.lm_forward per token."""
+    limit = min(TOKEN_LIMIT, config.max_seq)
+    ids = [text.SOS] + [vocab.id_of(c) for c in prompt]
+    rng = np.random.default_rng(policy.seed)
+    prompt_len = len(ids)
+    while len(ids) < limit:
+        logits = model.lm_forward(params, config, ids, spec, stats).data[-1]
+        nxt = sample_next(logits, policy, rng)
+        ids.append(nxt)
+        if nxt == text.EOS:
+            break
+    tail = ids[prompt_len:]
+    if tail and tail[-1] == text.EOS:
+        tail = tail[:-1]
+    return prompt + text.decode(tail, vocab)

@@ -10,7 +10,7 @@ import pytest
 
 from stylecast import text, train
 from stylecast.model import ModelConfig, causal_mask, extract_latent, init_params, lm_forward
-from stylecast.tensor import Tensor, attention, grad_check
+from stylecast.tensor import ShapeError, Tensor, attention, grad_check
 from stylecast.text import build_vocab
 from tests import reference as ref
 from tests.reference import mul, tsum
@@ -159,6 +159,28 @@ class TestAttentionOp:
         coords = [(a, i) for a in range(3) for i in range(0, b * t * d, 4)]
         report = grad_check(f, arrays, coords, h=1e-5, tol=1e-6)
         assert report["passed"], report
+
+    def test_float64_gradient_with_fewer_queries_than_keys(self):
+        b, tq, tk, d, heads = 2, 3, 5, 6, 2
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal((b * t, d)) for t in (tq, tk, tk)]
+        mask = causal_mask(tq, tk - tq)[None]
+        weight = Tensor(rng.standard_normal((b * tq, d)))
+
+        def f(leaves):
+            return tsum(mul(attention(*leaves, heads, mask), weight))
+
+        coords = [(a, i) for a in range(3) for i in range(0, arrays[a].size, 3)]
+        report = grad_check(f, arrays, coords, h=1e-5, tol=1e-6)
+        assert report["passed"], report
+
+    @pytest.mark.parametrize("k_rows, v_rows, tk", [(10, 8, 5), (10, 10, 4)],
+                             ids=["k and v rows differ", "mask Tk does not divide k rows"])
+    def test_key_shapes_rejected(self, k_rows, v_rows, tk):
+        rng = np.random.default_rng(5)
+        q, k, v = (Tensor(rng.standard_normal((n, 4))) for n in (2, k_rows, v_rows))
+        with pytest.raises(ShapeError):
+            attention(q, k, v, 2, np.zeros((1, 1, tk)))
 
     def test_one_sequence_equals_its_row_in_a_batch_of_five(self):
         t, d, heads = 7, 8, 2

@@ -5,7 +5,7 @@ import pytest
 
 from stylecast import text
 from stylecast.model import (
-    ConfigError, ModelConfig, causal_mask, clf_forward, convert_to_classifier,
+    ConfigError, KVCache, ModelConfig, causal_mask, clf_forward, convert_to_classifier,
     encoder_block, extract_latent, init_params, lm_forward, pad_mask,
 )
 from stylecast.style import CorpusStats, StyleSpec
@@ -72,6 +72,19 @@ class TestCausalMask:
     def test_first_row_only_self(self):
         m = causal_mask(5)
         assert np.isfinite(m[0, 0]) and np.all(np.isneginf(m[0, 1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_square_mask_equals_triu_construction(self, n):
+        old = np.zeros((n, n), dtype=np.float32)
+        old[np.triu_indices(n, k=1)] = -np.inf
+        m = causal_mask(n)
+        assert m.dtype == old.dtype and m.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("start, n", [(0, 5), (3, 1), (4, 5), (8, 1)])
+    def test_offset_rows_are_a_slice_of_the_square_mask(self, start, n):
+        m = causal_mask(n, start)
+        want = causal_mask(start + n)[start:]
+        assert m.shape == (n, start + n) and m.tobytes() == want.tobytes()
 
 
 class TestAttentionHead:
@@ -226,6 +239,30 @@ class TestLmForward:
         with pytest.raises(ValueError):
             lm_forward(params, cfg, list(range(6, 6 + 65)))
 
+    def test_cache_overflow_past_max_seq_rejected(self):
+        cfg = desk_config()
+        params = init_params(cfg, seed=0)
+        cache = KVCache(cfg)
+        lm_forward(params, cfg, [6] * 60, cache=cache)
+        with pytest.raises(ValueError, match="60 of 64"):
+            lm_forward(params, cfg, [6] * 5, cache=cache)
+        assert cache.length == 60
+        lm_forward(params, cfg, [6] * 4, cache=cache)
+        with pytest.raises(ValueError):
+            lm_forward(params, cfg, [6], cache=cache)
+
+    def test_cache_in_training_rejected(self):
+        cfg = desk_config(dropout_rate=0.0)
+        params = init_params(cfg, seed=0)
+        with pytest.raises(ValueError, match="inference only"):
+            lm_forward(params, cfg, [1, 6, 7], train=True, cache=KVCache(cfg))
+
+    def test_cache_of_another_batch_size_rejected(self):
+        cfg = desk_config()
+        params = init_params(cfg, seed=0)
+        with pytest.raises(ValueError):
+            lm_forward(params, cfg, [[1, 6], [1, 7]], cache=KVCache(cfg, batch=1))
+
     def test_style_modes_change_logits(self):
         cfg = desk_config(style_mode="minmax2")
         params = init_params(cfg, seed=7, zero_head=False)
@@ -319,7 +356,7 @@ class TestHeadSwap:
     def test_convert_keeps_backbone_zeroes_head(self):
         cfg = desk_config()
         params = init_params(cfg, seed=6, zero_head=False)
-        clf_params, clf_cfg = convert_to_classifier(params, cfg, n_sections=4)
+        clf_params, clf_cfg = convert_to_classifier(params, cfg, n_sections=4, max_seq=50)
         assert clf_cfg.head_type == "classifier" and clf_cfg.max_seq == 50
         assert clf_params["head.w"].data.shape == (64, 4)
         assert np.all(clf_params["head.w"].data == 0.0)
@@ -331,7 +368,7 @@ class TestHeadSwap:
         cfg = desk_config(style_mode="minmax2")
         params = init_params(cfg, seed=7)
         with pytest.raises(ConfigError):
-            convert_to_classifier(params, cfg, 4)
+            convert_to_classifier(params, cfg, 4, 50)
 
     def test_wrong_head_forward_rejected(self):
         cfg = desk_config()

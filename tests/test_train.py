@@ -7,7 +7,7 @@ import pytest
 from stylecast.checkpoint import load_checkpoint, save_checkpoint
 from stylecast.model import ModelConfig, convert_to_classifier, init_params
 from stylecast.tensor import Tensor, add
-from stylecast.text import build_vocab, split_shuffled
+from stylecast.text import TITLE_LEN, build_vocab, split_shuffled
 from stylecast.train import (
     AdamWState, TrainConfig, TrainError, adamw_step, clf_batch_loss, clf_samples_from_articles,
     clip_gradients, corpus_stats, evaluate_accuracy, evaluate_lm, fine_tune_classifier,
@@ -257,7 +257,7 @@ class TestClassifierTraining:
         arts = [a for a in make_articles(12) if a.label == 0]
         vocab = build_vocab(arts)
         cfg = ModelConfig.desk_scale(vocab_size=vocab.size, head_type="classifier")
-        samples = clf_samples_from_articles(arts, vocab)
+        samples = clf_samples_from_articles(arts, vocab, max_len=TITLE_LEN)
         with pytest.raises(TrainError):
             fine_tune_classifier(samples, init_params(cfg, seed=0), cfg, TrainConfig())
 
