@@ -76,7 +76,7 @@ def generate(prompt: str, spec: StyleSpec | None, policy: SamplingPolicy,
         raise GenerationError(
             f"prompt of {len(ids) - 1} tokens leaves no room under the {limit}-token limit")
     rng = np.random.default_rng(policy.seed)
-    cache = KVCache(config, dtype=params["tok_emb"].data.dtype)
+    cache = KVCache(config)
     prompt_len = len(ids)
     while len(ids) < limit:
         logits = lm_forward(params, config, ids[cache.length:], spec, stats, cache=cache).data[-1]

@@ -151,23 +151,32 @@ def pad_mask(ids: np.ndarray) -> np.ndarray:
 class KVCache:
     """Keys and values of the positions already run, for inference only.
 
-    Each block (by its parameter prefix) owns a preallocated [B, max_seq,
-    d_model] K and V array; positions [0, length) of them are filled. A
-    forward over t new positions writes rows length..length+t-1 of every
-    block, then `backbone` advances length by t.
+    Each block (by its parameter prefix) owns a [B, max_seq, d_model] K and
+    V array, allocated by its first forward with that forward's batch size
+    and dtype; positions [0, length) of them are filled. A forward over t
+    new positions writes rows length..length+t-1 of every block, then
+    `backbone` advances length by t.
     """
 
-    def __init__(self, config: ModelConfig, batch: int = 1, dtype=np.float32):
-        shape = (batch, config.max_seq, config.d_model)
-        self.kv = {f"layer{i}.": (np.zeros(shape, dtype), np.zeros(shape, dtype))
-                   for i in range(config.n_layers)}
-        self.batch, self.max_seq, self.length = batch, config.max_seq, 0
+    def __init__(self, config: ModelConfig):
+        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.max_seq, self.length = config.max_seq, 0
 
-    def extend(self, prefix: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Store one block's new [B*t, d] key and value rows; return all filled rows as constants."""
+    @property
+    def batch(self) -> int | None:
+        """Sequences the cache holds, or None before its first forward."""
+        return next(iter(self.kv.values()))[0].shape[0] if self.kv else None
+
+    def extend(self, prefix: str, k: Tensor, v: Tensor, stop: int) -> tuple[Tensor, Tensor]:
+        """Store one block's new [B*t, d] key and value rows as positions length..stop-1.
+
+        Returns every sequence's rows 0..stop-1 as [B*stop, d] constants.
+        """
+        rows, d = k.data.shape
+        b = rows // (stop - self.length)
+        if prefix not in self.kv:
+            self.kv[prefix] = tuple(np.zeros((b, self.max_seq, d), k.data.dtype) for _ in "kv")
         keys, values = self.kv[prefix]
-        b, _, d = keys.shape
-        stop = self.length + k.data.shape[0] // b
         keys[:, self.length:stop] = k.data.reshape(b, -1, d)
         values[:, self.length:stop] = v.data.reshape(b, -1, d)
         return Tensor(keys[:, :stop].reshape(-1, d)), Tensor(values[:, :stop].reshape(-1, d))
@@ -183,13 +192,13 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str,
     """Pre-norm block over [B*T, d] rows: x + attn(LN(x)), then + FFN(LN(.)).
 
     `mask` is the [B or 1, T or 1, Tk] attention mask. Without a cache
-    Tk is T; with one, the rows are positions cache.length.. and attend
-    over all Tk = cache.length + T keys the cache then holds.
+    Tk is T; with one, the rows are positions cache.length.., the block
+    fills the cache up to Tk = cache.length + T keys and attends over them.
     """
     normed = layer_norm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
     q, k, v = (matmul(normed, params[prefix + w]) for w in ("attn.wq", "attn.wk", "attn.wv"))
     if cache is not None:
-        k, v = cache.extend(prefix, k, v)
+        k, v = cache.extend(prefix, k, v, mask.shape[-1])
     heads = attention(q, k, v, n_heads, mask)
     x = add(x, dropout(matmul(heads, params[prefix + "attn.wo"]), drop_rate, rng))
 
@@ -228,7 +237,7 @@ def backbone(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
     if cache is not None:
         if train:
             raise ValueError("a KV cache is for inference only; training runs without one")
-        if b != cache.batch or cache.length + t > cache.max_seq:
+        if cache.batch not in (None, b) or cache.length + t > cache.max_seq:
             raise ValueError(f"{b} x {t} ids do not fit a cache of {cache.batch} sequences "
                              f"holding {cache.length} of {cache.max_seq} positions")
         start = cache.length

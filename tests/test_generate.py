@@ -182,13 +182,13 @@ class TestCachedDecodingOracle:
         want = lm_forward(params, cfg, ids, specs, stats).data.reshape(2, cfg.max_seq, -1)
         for prefill in (1, 17, cfg.max_seq - 1):
             # one sequence, as generate runs it
-            cache = KVCache(cfg, dtype=dtype)
+            cache = KVCache(cfg)
             rows = [lm_forward(params, cfg, ids[0, :prefill], specs[0], stats, cache=cache).data]
             rows += [lm_forward(params, cfg, ids[0, p:p + 1], specs[0], stats, cache=cache).data
                      for p in range(prefill, cfg.max_seq)]
             np.testing.assert_allclose(np.concatenate(rows), want[0], **ORACLE_TOL[dtype])
             # a batch of two
-            cache = KVCache(cfg, batch=2, dtype=dtype)
+            cache = KVCache(cfg)
             rows = [lm_forward(params, cfg, ids[:, :prefill], specs, stats, cache=cache).data
                     .reshape(2, prefill, -1)]
             rows += [lm_forward(params, cfg, ids[:, p:p + 1], specs, stats, cache=cache).data

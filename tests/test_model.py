@@ -260,8 +260,11 @@ class TestLmForward:
     def test_cache_of_another_batch_size_rejected(self):
         cfg = desk_config()
         params = init_params(cfg, seed=0)
-        with pytest.raises(ValueError):
-            lm_forward(params, cfg, [[1, 6], [1, 7]], cache=KVCache(cfg, batch=1))
+        cache = KVCache(cfg)
+        lm_forward(params, cfg, [1, 6], cache=cache)
+        with pytest.raises(ValueError, match="cache of 1 sequences"):
+            lm_forward(params, cfg, [[7], [8]], cache=cache)
+        assert cache.length == 2
 
     def test_style_modes_change_logits(self):
         cfg = desk_config(style_mode="minmax2")
